@@ -50,10 +50,11 @@ main(int argc, char **argv)
                   "cycle-level simulation instead of the cost model");
     flags.addString("--rot-schemes", &rot_schemes,
                     "rotation schemes to search "
-                    "(minks|hoisting|hybrid|triple|all, comma-separated)");
+                    "(minks|hoisting|hybrid|triple|all, comma-separated)",
+                    "LIST");
     flags.addString("--ks-dataflows", &ks_dataflows,
                     "key-switch dataflows to search "
-                    "(fused|ostat|reordup|all, comma-separated)");
+                    "(fused|ostat|reordup|all, comma-separated)", "LIST");
     if (!flags.parse(argc, argv))
         return 1;
     const std::string &plan_dir = common.planCacheDir;

@@ -639,7 +639,7 @@ run(int argc, char **argv)
                                     cli::CommonFlags::kStatsOut);
     std::string json_path;
     parser.addString("--json", &json_path,
-                     "write BENCH_kernels.json-style results here");
+                     "write BENCH_kernels.json-style results here", "FILE");
     parser.addBool("--smoke", &g_smoke, "fast mode for CI (few iterations)");
     parser.addBool("--digest", &g_digest,
                    "print deterministic output hashes instead of timings");

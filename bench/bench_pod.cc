@@ -135,7 +135,8 @@ run(int argc, char **argv)
     common.registerInto(flags, cli::CommonFlags::kThreads);
     flags.addBool("--smoke", &smoke, "ResNet-20 + small batch for CI");
     flags.addUint("--batch", &batch, "bootstrapping batch size");
-    flags.addString("--json", &json, "write BENCH_pod.json-style output");
+    flags.addString("--json", &json, "write BENCH_pod.json-style output",
+                    "FILE");
     if (!flags.parse(argc, argv))
         return 1;
     try {

@@ -61,7 +61,8 @@ tenants(const serve::MixProfile &mix, double totalRate, double slaSeconds)
     std::vector<serve::TenantSpec> specs;
     for (u32 i = 0; i < 2; ++i) {
         serve::TenantSpec t;
-        t.name = "t" + std::to_string(i);
+        // append, not "t" + ...: GCC 12 reports a false -Wrestrict there.
+        t.name = std::string("t").append(std::to_string(i));
         t.rate = totalRate / 2.0;
         t.slaSeconds = slaSeconds;
         t.mix = mix.weights;
@@ -267,7 +268,8 @@ main(int argc, char **argv)
     common.registerInto(flags, cli::CommonFlags::kThreads |
                                    cli::CommonFlags::kSeed);
     flags.addBool("--smoke", &smoke, "short traces for CI");
-    flags.addString("--json", &json, "write BENCH_serve.json-style output");
+    flags.addString("--json", &json, "write BENCH_serve.json-style output",
+                    "FILE");
     if (!flags.parse(argc, argv))
         return 1;
     const u32 seed = common.seed;

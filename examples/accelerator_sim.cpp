@@ -68,7 +68,8 @@ run(int argc, char **argv)
                                    cli::CommonFlags::kPlanCache);
     flags.addString("--fault-plan", &fault_spec,
                     "fault-injection spec, e.g. seed=7,dram-err=1e-3 "
-                    "(default $CROPHE_FAULT_PLAN)");
+                    "(default $CROPHE_FAULT_PLAN)",
+                    "SPEC");
     flags.addDouble("--deadline", &deadline,
                     "anytime scheduling budget per graph search in seconds "
                     "(0 = exact search)");
@@ -81,10 +82,11 @@ run(int argc, char **argv)
                     "pod ring-link latency per hop (chip cycles)");
     flags.addString("--rot-schemes", &rot_schemes,
                     "rotation schemes the end-to-end search may pick "
-                    "(minks|hoisting|hybrid|triple|all, comma-separated)");
+                    "(minks|hoisting|hybrid|triple|all, comma-separated)",
+                    "LIST");
     flags.addString("--ks-dataflows", &ks_dataflows,
                     "key-switch dataflows the search may pick "
-                    "(fused|ostat|reordup|all, comma-separated)");
+                    "(fused|ostat|reordup|all, comma-separated)", "LIST");
     if (!flags.parse(argc, argv))
         return 1;
     const std::string &trace_out = common.traceOut;

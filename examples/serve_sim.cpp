@@ -181,12 +181,13 @@ run(int argc, char **argv)
                     "across tenants)");
     flags.addUint("--tenants", &tenants, "number of tenants");
     flags.addString("--mix", &mix_name,
-                    "workload mix: bootstrap, matvec, blend, or micro");
+                    "workload mix: bootstrap, matvec, blend, or micro",
+                    "MIX");
     flags.addDouble("--sla-ms", &sla_ms, "per-request SLA in milliseconds");
     flags.addString("--design", &design_name,
-                    "accelerator design (Table I name)");
+                    "accelerator design (Table I name)", "DESIGN");
     flags.addString("--policy", &policy_name,
-                    "queue ordering: fifo, edf, or wfq");
+                    "queue ordering: fifo, edf, or wfq", "POLICY");
     flags.addUint("--max-batch", &max_batch,
                   "max same-template requests per dispatch");
     flags.addDouble("--plan-ms", &plan_ms,
@@ -213,7 +214,8 @@ run(int argc, char **argv)
     flags.addString("--fault-plan", &fault_spec,
                     "fault spec (default $CROPHE_FAULT_PLAN); timed "
                     "chip-fail@T=K, link-degrade@T=F and batch-fail "
-                    "events drive online recovery (DESIGN.md 14)");
+                    "events drive online recovery (DESIGN.md 14)",
+                    "SPEC");
     flags.addUint("--retries", &retries,
                   "failed attempts a request may retry before expiring");
     flags.addDouble("--retry-backoff-ms", &retry_backoff_ms,
@@ -283,7 +285,8 @@ run(int argc, char **argv)
     std::vector<serve::TenantSpec> specs;
     for (u32 i = 0; i < tenants; ++i) {
         serve::TenantSpec t;
-        t.name = "t" + std::to_string(i);
+        // append, not "t" + ...: GCC 12 reports a false -Wrestrict there.
+        t.name = std::string("t").append(std::to_string(i));
         t.process = serve::ArrivalProcess::Poisson;
         t.rate = arrival_rate / tenants;
         t.slaSeconds = sla_ms * 1e-3;

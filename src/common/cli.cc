@@ -14,10 +14,11 @@ FlagParser::FlagParser(std::string summary) : summary_(std::move(summary)) {}
 
 void
 FlagParser::addString(const std::string &name, std::string *out,
-                      const std::string &help)
+                      const std::string &help, const std::string &metavar)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::String, out, help});
+    CROPHE_ASSERT(!metavar.empty(), "string flag ", name, " needs a metavar");
+    flags_.push_back({name, Kind::String, out, help, metavar});
 }
 
 void
@@ -25,7 +26,7 @@ FlagParser::addUint(const std::string &name, u32 *out,
                     const std::string &help)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::Uint, out, help});
+    flags_.push_back({name, Kind::Uint, out, help, "N"});
 }
 
 void
@@ -33,7 +34,7 @@ FlagParser::addDouble(const std::string &name, double *out,
                       const std::string &help)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::Double, out, help});
+    flags_.push_back({name, Kind::Double, out, help, "X"});
 }
 
 void
@@ -41,7 +42,7 @@ FlagParser::addBool(const std::string &name, bool *out,
                     const std::string &help)
 {
     CROPHE_ASSERT(out != nullptr, "flag destination required");
-    flags_.push_back({name, Kind::Bool, out, help});
+    flags_.push_back({name, Kind::Bool, out, help, ""});
 }
 
 void
@@ -80,6 +81,11 @@ FlagParser::parse(int argc, char **argv)
         for (const auto &f : flags_)
             if (f.name == arg)
                 flag = &f;
+        if (flag == nullptr && arg == "--help" && !inlineValue) {
+            printUsage(argv[0], std::cout);
+            std::cout.flush();
+            std::exit(0);
+        }
         if (flag == nullptr)
             return fail(argv[0], "unknown flag: " + arg);
 
@@ -121,31 +127,19 @@ FlagParser::parse(int argc, char **argv)
 void
 FlagParser::printUsage(const char *argv0, std::ostream &os) const
 {
-    os << "usage: " << argv0;
-    for (const auto &f : flags_) {
-        os << " [" << f.name;
-        if (f.kind == Kind::String)
-            os << " FILE";
-        else if (f.kind == Kind::Uint)
-            os << " N";
-        else if (f.kind == Kind::Double)
-            os << " X";
-        os << "]";
-    }
+    auto head = [](const Flag &f) {
+        return f.metavar.empty() ? f.name : f.name + " " + f.metavar;
+    };
+    os << "usage: " << argv0 << " [--help]";
+    for (const auto &f : flags_)
+        os << " [" << head(f) << "]";
     os << "\n";
     if (!summary_.empty())
         os << "  " << summary_ << "\n";
     for (const auto &f : flags_) {
-        os << "  ";
-        std::string head = f.name;
-        if (f.kind == Kind::String)
-            head += " FILE";
-        else if (f.kind == Kind::Uint)
-            head += " N";
-        else if (f.kind == Kind::Double)
-            head += " X";
-        os << head;
-        for (std::size_t pad = head.size(); pad < 22; ++pad)
+        const std::string h = head(f);
+        os << "  " << h;
+        for (std::size_t pad = h.size(); pad < 22; ++pad)
             os << ' ';
         os << f.help << "\n";
     }

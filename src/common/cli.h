@@ -11,7 +11,8 @@
  *
  * Supported shapes: `--flag VALUE` and `--flag=VALUE` (string /
  * numeric) and presence-only `--flag` (bool, which rejects `=`).
- * Parsing is strict and order-independent.
+ * Parsing is strict and order-independent. `--help` prints the usage
+ * to stdout and exits 0.
  */
 
 #include <ostream>
@@ -29,9 +30,12 @@ class FlagParser
     /** @param summary one-line description printed above the flag list. */
     explicit FlagParser(std::string summary = "");
 
-    /** `--name VALUE`: any string. @{ */
+    /**
+     * `--name VALUE`: any string. @p metavar names what the value is in
+     * the usage text (FILE, DIR, SPEC, LIST, ...). @{
+     */
     void addString(const std::string &name, std::string *out,
-                   const std::string &help);
+                   const std::string &help, const std::string &metavar);
     /** `--name N`: base-10 unsigned. Parsing fails on non-numeric input. */
     void addUint(const std::string &name, u32 *out, const std::string &help);
     /** `--name X`: floating point. Parsing fails on non-numeric input. */
@@ -51,7 +55,9 @@ class FlagParser
     /**
      * Parse argv[1..argc). On an unknown flag, a missing value, or a
      * malformed number, prints an error plus the usage to stderr and
-     * returns false — callers should exit non-zero.
+     * returns false — callers should exit non-zero. `--help` (unless a
+     * harness registers it) prints the usage to stdout and exits the
+     * process with status 0.
      */
     bool parse(int argc, char **argv);
 
@@ -72,6 +78,7 @@ class FlagParser
         Kind kind;
         void *out;
         std::string help;
+        std::string metavar;  ///< value placeholder; empty for Bool
     };
 
     bool fail(const char *argv0, const std::string &message) const;

@@ -15,7 +15,15 @@
 
 #ifdef CROPHE_HAVE_AVX512
 
+// GCC 12's AVX-512 headers seed the passthrough operand of unmasked
+// intrinsics with _mm512_undefined_*(), which -Wmaybe-uninitialized
+// reports inside avx512fintrin.h at every inlined use. The diagnostics
+// are located in the header, so silencing them around its include
+// leaves the warning on for this file's own code.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #include <immintrin.h>
+#pragma GCC diagnostic pop
 
 #include "fhe/kernels/ntt_simd256_inl.h"
 

@@ -29,28 +29,63 @@ Graph::connect(OpId from, OpId to)
     pred_[to].push_back(from);
 }
 
+const char *
+Graph::edgeListsError(const std::vector<std::vector<OpId>> &succ,
+                      const std::vector<std::vector<OpId>> &pred) const
+{
+    const std::size_t n = ops_.size();
+    if (succ.size() != n || pred.size() != n)
+        return "adjacency lists must cover every node";
+    // Bucket the successor edges by head (CSR, tails ascending), then
+    // compare each head's bucket with its sorted predecessor list.
+    std::vector<u32> start(n + 1, 0);
+    for (OpId v = 0; v < n; ++v) {
+        for (OpId w : succ[v]) {
+            if (w >= n || w == v)
+                return "bad successor edge";
+            ++start[w + 1];
+        }
+    }
+    for (std::size_t w = 0; w < n; ++w)
+        start[w + 1] += start[w];
+    std::vector<OpId> tails(start[n]);
+    std::vector<u32> fill(start.begin(), start.end() - 1);
+    for (OpId v = 0; v < n; ++v)
+        for (OpId w : succ[v])
+            tails[fill[w]++] = v;
+
+    std::vector<OpId> sorted;
+    for (OpId w = 0; w < n; ++w) {
+        for (OpId v : pred[w])
+            if (v >= n || v == w)
+                return "bad predecessor edge";
+        sorted.assign(pred[w].begin(), pred[w].end());
+        std::sort(sorted.begin(), sorted.end());
+        if (!std::equal(sorted.begin(), sorted.end(),
+                        tails.begin() + start[w],
+                        tails.begin() + start[w + 1]))
+            return "succ/pred lists disagree";
+    }
+    return nullptr;
+}
+
+bool
+Graph::tryRestoreEdges(std::vector<std::vector<OpId>> &&succ,
+                       std::vector<std::vector<OpId>> &&pred)
+{
+    if (edgeListsError(succ, pred) != nullptr)
+        return false;
+    succ_ = std::move(succ);
+    pred_ = std::move(pred);
+    return true;
+}
+
 void
 Graph::restoreEdges(std::vector<std::vector<OpId>> succ,
                     std::vector<std::vector<OpId>> pred)
 {
-    CROPHE_ASSERT(succ.size() == ops_.size() && pred.size() == ops_.size(),
-                  "adjacency lists must cover every node");
-    std::map<std::pair<OpId, OpId>, i64> edges;
-    for (OpId v = 0; v < succ.size(); ++v) {
-        for (OpId w : succ[v]) {
-            CROPHE_ASSERT(w < ops_.size() && w != v, "bad successor edge");
-            ++edges[{v, w}];
-        }
-    }
-    for (OpId w = 0; w < pred.size(); ++w) {
-        for (OpId v : pred[w]) {
-            CROPHE_ASSERT(v < ops_.size() && v != w, "bad predecessor edge");
-            --edges[{v, w}];
-        }
-    }
-    for (const auto &[edge, count] : edges)
-        CROPHE_ASSERT(count == 0, "succ/pred lists disagree on edge ",
-                      edge.first, "->", edge.second);
+    const char *error = edgeListsError(succ, pred);
+    CROPHE_ASSERT(error == nullptr, error);
     succ_ = std::move(succ);
     pred_ = std::move(pred);
 }
@@ -168,9 +203,8 @@ Graph::structuralHash(const std::vector<OpId> &nodes) const
 {
     // Order-sensitive FNV-style hash over op shapes and the edge structure
     // relabelled to positions within @p nodes.
-    std::map<OpId, u32> index;
-    for (u32 i = 0; i < nodes.size(); ++i)
-        index[nodes[i]] = i;
+    PositionIndex index(static_cast<u32>(nodes.size()),
+                        [&](u32 i) { return nodes[i]; });
 
     u64 h = 1469598103934665603ull;
     auto mix = [&h](u64 v) {
@@ -191,8 +225,8 @@ Graph::structuralHash(const std::vector<OpId> &nodes) const
         // interchangeable for sharing/caching decisions.
         mix(std::hash<std::string>{}(op.auxKey));
         for (OpId c : succ_[id]) {
-            auto it = index.find(c);
-            mix(it == index.end() ? ~0ull : it->second);
+            u32 pos = index.find(c);
+            mix(pos == PositionIndex::kNotFound ? ~0ull : pos);
         }
     }
     return h;

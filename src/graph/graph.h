@@ -8,7 +8,9 @@
  * redundant subgraphs (Section V-D).
  */
 
+#include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -21,6 +23,42 @@ struct Edge
 {
     OpId from;
     OpId to;
+};
+
+/**
+ * Positions of the ids of a small list, sorted for binary search: the
+ * allocation-light stand-in for a std::map<OpId, u32> built over one
+ * window or group. A repeated id resolves to its last position, as
+ * repeated assignment into a map would.
+ */
+class PositionIndex
+{
+  public:
+    static constexpr u32 kNotFound = ~0u;
+
+    /** Index positions 0..n-1, where position i holds @p id_at(i). */
+    template <class IdAt>
+    PositionIndex(u32 n, IdAt id_at)
+    {
+        sorted_.reserve(n);
+        for (u32 i = 0; i < n; ++i)
+            sorted_.push_back({id_at(i), i});
+        std::sort(sorted_.begin(), sorted_.end());
+    }
+
+    /** Position of @p id, or kNotFound. */
+    u32
+    find(OpId id) const
+    {
+        auto it = std::upper_bound(sorted_.begin(), sorted_.end(),
+                                   std::pair<OpId, u32>{id, kNotFound});
+        if (it == sorted_.begin() || (--it)->first != id)
+            return kNotFound;
+        return it->second;
+    }
+
+  private:
+    std::vector<std::pair<OpId, u32>> sorted_;
 };
 
 /** Directed acyclic graph of FHE operators. */
@@ -40,8 +78,15 @@ class Graph
      * Edge-list order is semantically relevant — group analysis iterates
      * producers/consumers in insertion order — so a round-trip must restore
      * the exact lists, not re-derive them via connect() in some canonical
-     * order. Panics if the lists disagree with each other or the node set.
+     * order. The lists must cover every node, name only in-range ids, hold
+     * no self edge, and describe the same edge multiset from both sides.
+     * Returns false and leaves the graph unchanged when they do not, so a
+     * decoder of untrusted bytes fails soft.
      */
+    [[nodiscard]] bool tryRestoreEdges(std::vector<std::vector<OpId>> &&succ,
+                                       std::vector<std::vector<OpId>> &&pred);
+
+    /** tryRestoreEdges for in-process callers: panics on bad lists. */
     void restoreEdges(std::vector<std::vector<OpId>> succ,
                       std::vector<std::vector<OpId>> pred);
 
@@ -101,6 +146,12 @@ class Graph
     std::string toString() const;
 
   private:
+    /** Why @p succ / @p pred cannot be this graph's adjacency lists, or
+     *  null when they can (see tryRestoreEdges). */
+    const char *edgeListsError(const std::vector<std::vector<OpId>> &succ,
+                               const std::vector<std::vector<OpId>> &pred)
+        const;
+
     std::vector<Op> ops_;
     std::vector<std::vector<OpId>> succ_;
     std::vector<std::vector<OpId>> pred_;

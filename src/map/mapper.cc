@@ -2,14 +2,63 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/logging.h"
 
 namespace crophe::map {
 
-using graph::OpId;
 using graph::OpKind;
+
+namespace {
+
+/** Exact Σ ⌊p/m⌋ and Σ (p mod m) over the PE ids p < n. */
+struct ColRowSums
+{
+    u64 col = 0;
+    u64 row = 0;
+};
+
+ColRowSums
+prefixSums(u64 n, u64 m)
+{
+    const u64 q = n / m, r = n % m;
+    // Ids below q·m fill q whole columns; the r left over sit in column q.
+    return {m * (q * (q - 1) / 2) + r * q,
+            q * (m * (m - 1) / 2) + r * (r - 1) / 2};
+}
+
+/**
+ * Centroid of a clamped PE run (see PePlacement). The column and row
+ * sums are integers, so they are exact; converted to double they equal,
+ * bit for bit, what summing the run one PE at a time in double produces
+ * (every partial sum stays far below 2^53).
+ */
+void
+setRunCentroid(PePlacement &p, const hw::HwConfig &cfg)
+{
+    const u64 m = cfg.meshY;
+    // The run's distinct ids are [lo, hi]; the remaining `repeats` ids
+    // repeat the edge PE it was clamped at.
+    u64 lo, hi, edge;
+    if (!p.reversed) {
+        lo = p.firstPe;
+        hi = std::min<u64>(lo + p.pes, cfg.numPes) - 1;
+        edge = cfg.numPes - 1;
+    } else {
+        hi = p.firstPe;
+        lo = hi + 1 > p.pes ? hi + 1 - p.pes : 0;
+        edge = 0;
+    }
+    const u64 repeats = p.pes - (hi - lo + 1);
+    const ColRowSums upto_hi = prefixSums(hi + 1, m);
+    const ColRowSums below_lo = prefixSums(lo, m);
+    const u64 sx = upto_hi.col - below_lo.col + repeats * (edge / m);
+    const u64 sy = upto_hi.row - below_lo.row + repeats * (edge % m);
+    p.centroidX = static_cast<double>(sx) / static_cast<double>(p.pes);
+    p.centroidY = static_cast<double>(sy) / static_cast<double>(p.pes);
+}
+
+}  // namespace
 
 GroupMapping
 mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
@@ -37,67 +86,61 @@ mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
 
     // Split the op sequence at Transpose ops into segments; odd segments
     // (after a transpose) are placed right-to-left (Figure 4). Each
-    // segment fills consecutive PE columns in its direction.
-    // The group's allocs are already in topological order.
+    // segment fills consecutive PE columns in its direction, clamped at
+    // the array edge. The group's allocs are already in topological
+    // order.
     bool reversed = false;
     u32 next_pe_forward = 0;                      // fills 0, 1, 2, ...
     u32 next_pe_backward = cfg.numPes - 1;        // fills N-1, N-2, ...
 
-    std::map<OpId, std::size_t> placement_of;
+    mapping.placements.reserve(group.allocs.size());
     for (const auto &alloc : group.allocs) {
-        const auto &op = g.op(alloc.op);
-        if (op.kind == OpKind::Transpose) {
+        PePlacement p;
+        p.op = alloc.op;
+        if (g.op(alloc.op).kind == OpKind::Transpose) {
             // The transpose unit lives beside the array; flip direction.
             reversed = !reversed;
-            PePlacement p;
-            p.op = alloc.op;
             p.centroidX = static_cast<double>(cfg.meshX);  // array edge
             p.centroidY = cfg.meshY / 2.0;
-            placement_of[alloc.op] = mapping.placements.size();
-            mapping.placements.push_back(std::move(p));
+            mapping.placements.push_back(p);
             continue;
         }
 
-        PePlacement p;
-        p.op = alloc.op;
-        u32 pes = std::max<u32>(
+        p.pes = std::max<u32>(
             1, static_cast<u32>(static_cast<double>(alloc.pes) * scale));
-        for (u32 k = 0; k < pes; ++k) {
-            u32 pe;
-            if (!reversed) {
-                pe = next_pe_forward;
-                next_pe_forward =
-                    std::min(next_pe_forward + 1, cfg.numPes - 1);
-            } else {
-                pe = next_pe_backward;
-                next_pe_backward = next_pe_backward == 0
-                                       ? 0
-                                       : next_pe_backward - 1;
-            }
-            p.peIds.push_back(pe);
+        p.reversed = reversed;
+        if (!reversed) {
+            p.firstPe = next_pe_forward;
+            next_pe_forward = static_cast<u32>(std::min<u64>(
+                u64{next_pe_forward} + p.pes, cfg.numPes - 1));
+        } else {
+            p.firstPe = next_pe_backward;
+            next_pe_backward =
+                next_pe_backward > p.pes ? next_pe_backward - p.pes : 0;
         }
-        double sx = 0, sy = 0;
-        for (u32 pe : p.peIds) {
-            // Column-major: consecutive ids go down a column first.
-            sx += pe / cfg.meshY;
-            sy += pe % cfg.meshY;
-        }
-        p.centroidX = sx / p.peIds.size();
-        p.centroidY = sy / p.peIds.size();
-        placement_of[alloc.op] = mapping.placements.size();
-        mapping.placements.push_back(std::move(p));
+        setRunCentroid(p, cfg);
+        mapping.placements.push_back(p);
     }
 
     // Hop distance per internal edge (XY routing => Manhattan distance).
-    double hop_sum = 0.0;
+    graph::PositionIndex position(
+        static_cast<u32>(group.allocs.size()),
+        [&](u32 i) { return group.allocs[i].op; });
+    mapping.edges.reserve(group.internalEdges.size());
     for (const auto &e : group.internalEdges) {
-        const auto &pf = mapping.placements[placement_of.at(e.from)];
-        const auto &pt = mapping.placements[placement_of.at(e.to)];
+        PlacedEdge pe;
+        pe.producer = position.find(e.from);
+        pe.consumer = position.find(e.to);
+        CROPHE_ASSERT(pe.producer != graph::PositionIndex::kNotFound &&
+                          pe.consumer != graph::PositionIndex::kNotFound,
+                      "edge endpoints missing from the group");
+        const auto &pf = mapping.placements[pe.producer];
+        const auto &pt = mapping.placements[pe.consumer];
         u32 hops = static_cast<u32>(std::lround(
             std::abs(pf.centroidX - pt.centroidX) +
             std::abs(pf.centroidY - pt.centroidY)));
-        mapping.edgeHops.push_back(std::max<u32>(1, hops));
-        hop_sum += mapping.edgeHops.back();
+        pe.hops = std::max<u32>(1, hops);
+        mapping.edges.push_back(pe);
     }
 
     // Distance from the buffer crossbar (column 0 side) to each op.

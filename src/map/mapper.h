@@ -18,22 +18,39 @@
 
 namespace crophe::map {
 
-/** PE rectangle assigned to one operator. */
+/**
+ * The PEs assigned to one operator: a contiguous run of @p pes ids
+ * starting at @p firstPe and stepping +1 (or −1 when @p reversed),
+ * clamped at the array edge — once the run reaches PE numPes−1 (or PE 0)
+ * its remaining ids repeat that edge PE. A Transpose op has no run
+ * (@p pes == 0): it sits on the transpose unit beside the array.
+ * PE id p is column p / meshY, row p % meshY (column-major).
+ */
 struct PePlacement
 {
     graph::OpId op = graph::kNoOp;
-    std::vector<u32> peIds;  ///< pe id = y * meshX + x
+    u32 firstPe = 0;
+    u32 pes = 0;
+    bool reversed = false;
     double centroidX = 0.0;
     double centroidY = 0.0;
+};
+
+/** One internal edge as placed. */
+struct PlacedEdge
+{
+    u32 producer = 0;  ///< index into GroupMapping::placements
+    u32 consumer = 0;  ///< index into GroupMapping::placements
+    u32 hops = 1;      ///< Manhattan hop count between the centroids
 };
 
 /** Placement of one spatial group. */
 struct GroupMapping
 {
+    /** One placement per alloc, in SpatialGroup::allocs order. */
     std::vector<PePlacement> placements;
-    /** Manhattan hop count per internal edge (parallel to
-     *  SpatialGroup::internalEdges). */
-    std::vector<u32> edgeHops;
+    /** Parallel to SpatialGroup::internalEdges. */
+    std::vector<PlacedEdge> edges;
     /** Average hops from the array edge (buffer crossbar) to each op. */
     double avgBufferHops = 0.0;
 };

@@ -27,10 +27,13 @@ std::vector<u32>
 placeStagesOnRing(u32 stages, const std::vector<u32> &aliveChips,
                   u32 ringChips, const std::vector<StageEdge> &edges)
 {
-    CROPHE_ASSERT(stages == aliveChips.size(),
-                  "one stage per alive chip (", stages, " stages, ",
-                  aliveChips.size(), " chips)");
-    std::vector<u32> chipOf(aliveChips.begin(), aliveChips.end());
+    CROPHE_ASSERT(stages >= 1 && stages <= aliveChips.size(),
+                  "at most one stage per alive chip (", stages,
+                  " stages, ", aliveChips.size(), " chips)");
+    // A segment with fewer ops than alive chips cuts fewer stages; they
+    // take the first alive chips and the rest idle for the segment.
+    std::vector<u32> chipOf(aliveChips.begin(),
+                            aliveChips.begin() + stages);
     if (stages <= 2 || edges.empty())
         return chipOf;
 

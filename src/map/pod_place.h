@@ -27,11 +27,11 @@ struct StageEdge
 };
 
 /**
- * Place @p stages pipeline stages onto @p aliveChips ring positions
- * (stages == aliveChips.size() required; ring distance is computed over
- * the physical ring of @p ringChips chips). Returns the physical chip id
- * per stage. Deterministic: fixed scan order, first-improvement swaps,
- * bounded passes.
+ * Place @p stages pipeline stages onto the first @p stages of the
+ * @p aliveChips ring positions (1 <= stages <= aliveChips.size(); ring
+ * distance is computed over the physical ring of @p ringChips chips).
+ * Returns the physical chip id per stage. Deterministic: fixed scan
+ * order, first-improvement swaps, bounded passes.
  */
 std::vector<u32> placeStagesOnRing(u32 stages,
                                    const std::vector<u32> &aliveChips,

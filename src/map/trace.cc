@@ -1,7 +1,6 @@
 #include "map/trace.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.h"
 #include "sched/loopnest.h"
@@ -9,17 +8,16 @@
 namespace crophe::map {
 
 using graph::Op;
-using graph::OpId;
 
 GroupTrace
 buildTrace(const sched::SpatialGroup &group, const GroupMapping &mapping,
            const graph::Graph &g, const hw::HwConfig &cfg)
 {
+    CROPHE_ASSERT(mapping.placements.size() == group.allocs.size() &&
+                      mapping.edges.size() == group.internalEdges.size(),
+                  "mapping does not match its group");
     GroupTrace trace;
-    std::map<OpId, u32> index_of;
-    std::map<OpId, u32> pes_of;
-    for (const auto &a : group.allocs)
-        pes_of[a.op] = a.pes;
+    trace.ops.reserve(group.allocs.size());
 
     // Raw per-op demand estimates used to apportion the group totals.
     std::vector<double> sram_w(group.allocs.size(), 0.0);
@@ -29,21 +27,19 @@ buildTrace(const sched::SpatialGroup &group, const GroupMapping &mapping,
     for (u32 i = 0; i < group.allocs.size(); ++i) {
         const auto &alloc = group.allocs[i];
         const Op &op = g.op(alloc.op);
-        index_of[alloc.op] = i;
 
         TraceOp top;
         top.op = alloc.op;
         top.chunks = alloc.chunks;
 
         double mults = cfg.homogeneous
-                           ? static_cast<double>(pes_of[alloc.op]) *
-                                 cfg.lanes
+                           ? static_cast<double>(alloc.pes) * cfg.lanes
                            : static_cast<double>(cfg.multsPerCycle()) / 4.0;
         double compute = static_cast<double>(op.flops) /
                          std::max(1.0, mults);
         double stream = static_cast<double>(op.outputWords) /
-                        std::max(1.0, static_cast<double>(
-                                          pes_of[alloc.op]) * cfg.lanes);
+                        std::max(1.0, static_cast<double>(alloc.pes) *
+                                          cfg.lanes);
         top.computePerChunk = std::max(compute, stream) /
                               static_cast<double>(top.chunks);
         top.bufferHops = std::max<u32>(
@@ -75,15 +71,12 @@ buildTrace(const sched::SpatialGroup &group, const GroupMapping &mapping,
     // Edge dependencies and NoC volume assigned to the consumer.
     for (u32 e = 0; e < group.internalEdges.size(); ++e) {
         const auto &edge = group.internalEdges[e];
-        auto pit = index_of.find(edge.from);
-        auto cit = index_of.find(edge.to);
-        CROPHE_ASSERT(pit != index_of.end() && cit != index_of.end(),
-                      "edge endpoints missing from trace");
+        const PlacedEdge &placed = mapping.edges[e];
         TraceDep dep;
-        dep.producerIndex = pit->second;
+        dep.producerIndex = placed.producer;
         dep.pipelined = edge.mode == sched::EdgeMode::Pipelined;
-        dep.hops = e < mapping.edgeHops.size() ? mapping.edgeHops[e] : 1;
-        auto &consumer = trace.ops[cit->second];
+        dep.hops = placed.hops;
+        auto &consumer = trace.ops[placed.consumer];
         consumer.deps.push_back(dep);
         consumer.nocWordsPerChunk +=
             edge.volumeWords / std::max<u64>(1, consumer.chunks);

@@ -44,8 +44,9 @@ struct GroupTrace
 };
 
 /**
- * Build the trace of one spatial group from its analysis and placement.
- * Resource totals in the trace match the group's analyzed totals.
+ * Build the trace of one spatial group from its analysis and its
+ * placement @p mapping (mapGroup's result for @p group). Resource totals
+ * in the trace match the group's analyzed totals.
  */
 GroupTrace buildTrace(const sched::SpatialGroup &group,
                       const GroupMapping &mapping, const graph::Graph &g,

@@ -1,6 +1,5 @@
 #include "plan/serialize.h"
 
-#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -224,27 +223,8 @@ readGraph(ByteReader &r, graph::Graph &g)
     for (u32 v = 0; v < n_ops; ++v)
         if (!readIdList(r, n_ops, pred[v]))
             return false;
-    // restoreEdges cross-validates the two lists but panics on mismatch;
-    // pre-check consistency here so corrupt cache payloads fail soft.
-    std::vector<std::pair<graph::OpId, graph::OpId>> a, b;
-    for (u32 v = 0; v < n_ops; ++v)
-        for (graph::OpId c : succ[v]) {
-            if (c == v)
-                return false;
-            a.emplace_back(v, c);
-        }
-    for (u32 v = 0; v < n_ops; ++v)
-        for (graph::OpId p : pred[v]) {
-            if (p == v)
-                return false;
-            b.emplace_back(p, v);
-        }
-    std::sort(a.begin(), a.end());
-    std::sort(b.begin(), b.end());
-    if (a != b)
-        return false;
-    g.restoreEdges(std::move(succ), std::move(pred));
-    return true;
+    // Validated once, softly: corrupt cache payloads fail the decode.
+    return g.tryRestoreEdges(std::move(succ), std::move(pred));
 }
 
 void

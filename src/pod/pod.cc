@@ -172,10 +172,14 @@ schedulePodWorkload(const graph::Workload &w, const hw::HwConfig &chip,
                 const double finish = start + cycles;
                 chipFree[c] = finish;
                 segEnd = std::max(segEnd, finish);
+                // append, not "s" + ...: GCC 12 reports a false
+                // -Wrestrict there.
                 if (trace != nullptr)
                     trace->complete(chipTracks[s],
-                                    "s" + std::to_string(s) + " r" +
-                                        std::to_string(r),
+                                    std::string("s")
+                                        .append(std::to_string(s))
+                                        .append(" r")
+                                        .append(std::to_string(r)),
                                     start, cycles);
                 for (const auto &e : edges) {
                     if (e.from != s)

@@ -3,12 +3,11 @@
 
 /**
  * @file
- * Minimal discrete-event kernel: a time-ordered queue of callbacks.
+ * Minimal discrete-event kernel: a time-ordered queue of typed wake-ups,
+ * plus the FIFO bandwidth server every chip resource is built from.
  */
 
 #include <algorithm>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "common/logging.h"
@@ -23,29 +22,37 @@ namespace crophe::sim {
 /** Simulated time in (fractional) accelerator cycles. */
 using SimTime = double;
 
-/** Time-ordered event queue with stable pop order for equal timestamps. */
+/** A wake-up of traced op @p op (an index into its group's trace). */
+struct Event
+{
+    SimTime when = 0.0;
+    u64 seq = 0;  ///< insertion sequence: ties on @p when pop FIFO
+    u32 op = 0;
+};
+
+/**
+ * Time-ordered event queue. Events pop in (when, insertion sequence)
+ * order, so equal timestamps are served first-in first-out; the caller
+ * dispatches each popped event itself.
+ */
 class EventQueue
 {
   public:
-    using Handler = std::function<void(SimTime)>;
-
-    /** Schedule @p handler to run at @p when. */
-    void schedule(SimTime when, Handler handler);
+    /** Schedule a wake-up of @p op at @p when. */
+    void schedule(SimTime when, u32 op);
 
     /** True when no events remain. */
-    bool empty() const { return queue_.empty(); }
+    bool empty() const { return heap_.empty(); }
 
-    /** Pop and run the earliest event; returns its timestamp. */
-    SimTime runNext();
+    /** Remove and return the earliest event; counts it as processed. */
+    Event pop();
 
-    /** Run until the queue drains; returns the final event time. */
-    SimTime runAll();
-
+    /** Events popped so far. */
     u64 processed() const { return processed_; }
 
     /**
      * Periodically sample the queue depth as a trace counter while
-     * running (null recorder = no work). Observation only; event order
+     * popping (null recorder = no work). Observation only; event order
      * and timing are unaffected.
      */
     void attachTrace(telemetry::TraceRecorder *rec) { trace_ = rec; }
@@ -53,22 +60,8 @@ class EventQueue
   private:
     void sampleDepth(SimTime now) const;
 
-    struct Event
-    {
-        SimTime when;
-        u64 seq;
-        Handler handler;
-    };
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            return a.when > b.when || (a.when == b.when && a.seq > b.seq);
-        }
-    };
-
-    std::priority_queue<Event, std::vector<Event>, Later> queue_;
+    /** 4-ary min-heap on (when, seq). */
+    std::vector<Event> heap_;
     u64 nextSeq_ = 0;
     u64 processed_ = 0;
     telemetry::TraceRecorder *trace_ = nullptr;

@@ -37,6 +37,39 @@ struct Chip
 };
 
 /**
+ * Consumers of each traced op, distinct and ascending: op i's are
+ * of[at[i] .. at[i + 1]).
+ */
+struct ConsumerLists
+{
+    std::vector<u32> at;
+    std::vector<u32> of;
+};
+
+ConsumerLists
+consumerLists(const map::GroupTrace &trace)
+{
+    const u32 num_ops = static_cast<u32>(trace.ops.size());
+    std::vector<std::pair<u32, u32>> edges;  // (producer, consumer)
+    for (u32 j = 0; j < num_ops; ++j)
+        for (const auto &dep : trace.ops[j].deps)
+            edges.emplace_back(dep.producerIndex, j);
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+
+    ConsumerLists lists;
+    lists.at.assign(num_ops + 1, 0);
+    lists.of.reserve(edges.size());
+    for (const auto &[producer, consumer] : edges) {
+        ++lists.at[producer + 1];
+        lists.of.push_back(consumer);
+    }
+    for (u32 i = 0; i < num_ops; ++i)
+        lists.at[i + 1] += lists.at[i];
+    return lists;
+}
+
+/**
  * Simulate one spatial group starting at @p group_start; returns the
  * group's completion time.
  */
@@ -64,11 +97,21 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
             pe_tracks[i] = rec->track("PE group " + std::to_string(i));
     }
 
-    // finish[i][c]: completion time of chunk c of op i (-1 = not done).
-    std::vector<std::vector<SimTime>> finish(num_ops);
-    std::vector<u64> next_chunk(num_ops, 0);
+    // finish[first[i] + c]: completion time of chunk c of op i
+    // (-1 = not done).
+    std::vector<u64> first(num_ops + 1, 0);
     for (u32 i = 0; i < num_ops; ++i)
-        finish[i].assign(trace.ops[i].chunks, -1.0);
+        first[i + 1] = first[i] + trace.ops[i].chunks;
+    std::vector<SimTime> finish(first[num_ops], -1.0);
+    std::vector<u64> next_chunk(num_ops, 0);
+
+    const ConsumerLists wake = consumerLists(trace);
+
+    // NoC distance of each op's forwarded inputs (at least one hop).
+    std::vector<u32> noc_hops(num_ops, 1);
+    for (u32 i = 0; i < num_ops; ++i)
+        for (const auto &dep : trace.ops[i].deps)
+            noc_hops[i] = std::max(noc_hops[i], dep.hops);
 
     SimTime group_end = group_start;
 
@@ -85,7 +128,7 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
             } else {
                 needed = p.chunks - 1;  // full-tensor barrier
             }
-            SimTime f = finish[dep.producerIndex][needed];
+            SimTime f = finish[first[dep.producerIndex] + needed];
             if (f < 0)
                 return false;
             ready = std::max(ready, f);
@@ -93,25 +136,25 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
         return true;
     };
 
-    // Execute one chunk: acquire memory inputs, NoC, then the PE group.
-    std::function<void(u32, SimTime)> try_issue = [&](u32 i, SimTime now) {
-        while (next_chunk[i] < trace.ops[i].chunks) {
+    // Issue op i's chunks from @p now until one waits on a dependency:
+    // acquire memory inputs, NoC, then the PE group (or transpose unit).
+    // Every chunk reserves its resources when issued, ahead of simulated
+    // time (DESIGN.md §4).
+    auto try_issue = [&](u32 i, SimTime now) {
+        const auto &top = trace.ops[i];
+        const auto &op = g.op(top.op);
+        while (next_chunk[i] < top.chunks) {
             u64 c = next_chunk[i];
             SimTime ready;
             if (!dep_ready(i, c, ready))
                 return;
             ready = std::max(ready, now);
-            const auto &top = trace.ops[i];
-            const auto &op = g.op(top.op);
 
             // Off-chip and buffer traffic for this chunk.
             SimTime t = chip.dram.access(ready, top.dramWordsPerChunk, i);
             t = chip.sram.access(t, top.sramWordsPerChunk);
             // Forwarded inputs traverse the mesh.
-            u32 hops = 1;
-            for (const auto &dep : top.deps)
-                hops = std::max(hops, dep.hops);
-            t = chip.noc.transfer(t, top.nocWordsPerChunk, hops);
+            t = chip.noc.transfer(t, top.nocWordsPerChunk, noc_hops[i]);
             // Transpose ops stream through the transpose unit instead of
             // the PE datapath.
             SimTime done;
@@ -128,30 +171,26 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
                                   {{"chunk", static_cast<double>(c)}});
                 }
             }
-            finish[i][c] = done;
+            finish[first[i] + c] = done;
             ++next_chunk[i];
             group_end = std::max(group_end, done);
 
-            // Wake consumers.
-            for (u32 j = 0; j < num_ops; ++j) {
-                for (const auto &dep : trace.ops[j].deps) {
-                    if (dep.producerIndex == i && next_chunk[j] <
-                                                      trace.ops[j].chunks) {
-                        queue.schedule(done, [&, j](SimTime when) {
-                            try_issue(j, when);
-                        });
-                        break;
-                    }
-                }
+            // One wake-up per consumer that still has chunks to issue.
+            for (u32 k = wake.at[i]; k < wake.at[i + 1]; ++k) {
+                const u32 j = wake.of[k];
+                if (next_chunk[j] < trace.ops[j].chunks)
+                    queue.schedule(done, j);
             }
         }
     };
 
     // Seed all ops (those with deps will simply not issue yet).
     for (u32 i = 0; i < num_ops; ++i)
-        queue.schedule(group_start,
-                       [&, i](SimTime when) { try_issue(i, when); });
-    queue.runAll();
+        queue.schedule(group_start, i);
+    while (!queue.empty()) {
+        const Event ev = queue.pop();
+        try_issue(ev.op, ev.when);
+    }
 
     for (u32 i = 0; i < num_ops; ++i) {
         CROPHE_ASSERT(next_chunk[i] == trace.ops[i].chunks,

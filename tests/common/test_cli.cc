@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,7 +36,7 @@ TEST(FlagParser, ParsesEveryRegisteredShape)
     u32 count = 0;
     bool flag = false;
     FlagParser p("test harness");
-    p.addString("--out", &out_file, "output file");
+    p.addString("--out", &out_file, "output file", "FILE");
     p.addUint("--count", &count, "how many");
     p.addBool("--flag", &flag, "presence toggle");
 
@@ -50,7 +51,7 @@ TEST(FlagParser, EmptyArgvParsesAndKeepsDefaults)
 {
     std::string s = "default";
     FlagParser p;
-    p.addString("--s", &s, "a string");
+    p.addString("--s", &s, "a string", "TEXT");
     Argv a({"prog"});
     EXPECT_TRUE(p.parse(a.argc(), a.argv()));
     EXPECT_EQ(s, "default");
@@ -62,7 +63,7 @@ TEST(FlagParser, ParsesEqualsSyntaxForEveryValueKind)
     u32 count = 0;
     double x = 0.0;
     FlagParser p;
-    p.addString("--out", &out_file, "output file");
+    p.addString("--out", &out_file, "output file", "FILE");
     p.addUint("--count", &count, "how many");
     p.addDouble("--x", &x, "a real");
 
@@ -89,8 +90,8 @@ TEST(FlagParser, EqualsValueMayBeEmptyOrContainEquals)
 {
     std::string out = "default", spec;
     FlagParser p;
-    p.addString("--out", &out, "output file");
-    p.addString("--spec", &spec, "key=value spec");
+    p.addString("--out", &out, "output file", "FILE");
+    p.addString("--spec", &spec, "key=value spec", "SPEC");
     Argv a({"prog", "--out=", "--spec=seed=7,rate=1e-3"});
     EXPECT_TRUE(p.parse(a.argc(), a.argv()));
     EXPECT_EQ(out, "");
@@ -133,7 +134,7 @@ TEST(FlagParser, RejectsMissingValue)
 {
     FlagParser p;
     std::string s;
-    p.addString("--out", &s, "output file");
+    p.addString("--out", &s, "output file", "FILE");
     Argv a({"prog", "--out"});
     EXPECT_FALSE(p.parse(a.argc(), a.argv()));
 }
@@ -160,7 +161,7 @@ TEST(FlagParser, UsageListsFlagsAndSummary)
     std::string s;
     u32 n = 0;
     bool b = false;
-    p.addString("--out", &s, "output file");
+    p.addString("--out", &s, "output file", "FILE");
     p.addUint("--n", &n, "a number");
     p.addBool("--quick", &b, "skip the slow part");
     p.addThreadsFlag();
@@ -174,6 +175,53 @@ TEST(FlagParser, UsageListsFlagsAndSummary)
     EXPECT_NE(usage.find("[--quick]"), std::string::npos);
     EXPECT_NE(usage.find("--threads N"), std::string::npos);
     EXPECT_NE(usage.find("skip the slow part"), std::string::npos);
+}
+
+TEST(FlagParser, UsageNamesEachValueByItsMetavar)
+{
+    FlagParser p;
+    std::string dir, spec, list;
+    double x = 0.0;
+    p.addString("--plan-cache", &dir, "schedule-cache directory", "DIR");
+    p.addString("--fault-plan", &spec, "fault spec", "SPEC");
+    p.addString("--rot-schemes", &list, "schemes to search", "LIST");
+    p.addDouble("--deadline", &x, "budget in seconds");
+
+    std::ostringstream os;
+    p.printUsage("prog", os);
+    const std::string usage = os.str();
+    EXPECT_NE(usage.find("[--plan-cache DIR]"), std::string::npos);
+    EXPECT_NE(usage.find("[--fault-plan SPEC]"), std::string::npos);
+    EXPECT_NE(usage.find("[--rot-schemes LIST]"), std::string::npos);
+    EXPECT_NE(usage.find("[--deadline X]"), std::string::npos);
+    EXPECT_NE(usage.find("[--help]"), std::string::npos);
+    EXPECT_EQ(usage.find("FILE"), std::string::npos);
+}
+
+TEST(FlagParserDeath, HelpPrintsUsageToStdoutAndExitsZero)
+{
+    FlagParser p("the summary line");
+    std::string dir;
+    p.addString("--plan-cache", &dir, "schedule-cache directory", "DIR");
+    Argv a({"prog", "--plan-cache", "x", "--help", "--unknown"});
+    // The matcher reads the child's stderr, so the child routes stdout
+    // there and silences std::cerr: the usage is only matched if --help
+    // printed it to stdout, and it exits 0 before reaching --unknown.
+    EXPECT_EXIT(
+        {
+            std::cout.rdbuf(std::cerr.rdbuf());
+            std::cerr.rdbuf(nullptr);
+            p.parse(a.argc(), a.argv());
+        },
+        ::testing::ExitedWithCode(0),
+        "usage: prog \\[--help\\] \\[--plan-cache DIR\\]");
+}
+
+TEST(FlagParser, HelpWithAValueIsAnUnknownFlag)
+{
+    FlagParser p;
+    Argv a({"prog", "--help=1"});
+    EXPECT_FALSE(p.parse(a.argc(), a.argv()));
 }
 
 TEST(DomainChecks, RequirePositiveDouble)

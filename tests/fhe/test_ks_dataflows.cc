@@ -226,8 +226,8 @@ TEST(KernelHoisting, InnerProdPlusModDownMatchesKeySwitchFused)
  * bit-identity plus a decrypt-level comparison against rotate().
  */
 Ciphertext
-hoistedRotateOracle(const FheContext &ctx, const Evaluator &eval,
-                    const Ciphertext &ct, i64 r, const KswKey &rk)
+hoistedRotateOracle(const FheContext &ctx, const Ciphertext &ct, i64 r,
+                    const KswKey &rk)
 {
     const u32 level = ct.level;
     const u32 beta = ctx.digitCount(level);
@@ -285,7 +285,7 @@ TEST(KernelHoisting, HoistedRotateMatchesOracleAndDecryptsLikeRotate)
         auto digits = eval.hoistedDecompModUp(ct.a, ct.level);
         for (i64 r : {i64(1), i64(3), i64(7)}) {
             KswKey rk = keygen.makeRotationKey(r);
-            Ciphertext want = hoistedRotateOracle(ctx, eval, ct, r, rk);
+            Ciphertext want = hoistedRotateOracle(ctx, ct, r, rk);
             for (kernels::Backend b : availableBackends()) {
                 kernels::setBackend(b);
                 Ciphertext got = eval.hoistedRotate(ct, digits, r, rk);
@@ -366,7 +366,7 @@ TEST(KernelTripleHoistedBsgs, BabyStepsMatchOracleAndDecryptLikeHoisting)
     for (u32 i = 1; i < n1; ++i) {
         // Bit-for-bit against the unfused-primitive oracle...
         Ciphertext want =
-            hoistedRotateOracle(s.ctx, s.eval, ct, i, keys.rot.at(i));
+            hoistedRotateOracle(s.ctx, ct, i, keys.rot.at(i));
         expectPolysEqual(got[i].b, want.b, "baby b");
         expectPolysEqual(got[i].a, want.a, "baby a");
         // ...and decrypt-equivalent to the eager rotation.

@@ -96,6 +96,43 @@ TEST(Graph, StructuralHashMatchesIsomorphicSubgraphs)
     EXPECT_NE(g.structuralHash({a1, a2}), g2.structuralHash({c1, c2}));
 }
 
+TEST(Graph, StructuralHashValuesArePinned)
+{
+    // Plan-cache keys are built on this hash, so its values must not
+    // drift: a changed value silently orphans every cached plan.
+    Graph g = diamond();
+    EXPECT_EQ(g.structuralHash({0, 1, 2, 3}), 0xeffd685ae94c8da0ull);
+    // A partial window: consumers outside it hash as a sentinel.
+    EXPECT_EQ(g.structuralHash({0, 2}), 0xbdbb666ad6bff623ull);
+    EXPECT_EQ(g.structuralHash({3, 2, 1, 0}), 0x0d259623850e997cull);
+    EXPECT_EQ(g.structuralHash({}), 0x14650fb0739d0383ull);
+}
+
+TEST(Graph, RestoreEdgesKeepsListOrder)
+{
+    Graph g = diamond();
+    g.restoreEdges({{2, 1}, {3}, {3}, {}}, {{}, {0}, {0}, {2, 1}});
+    EXPECT_EQ(g.consumers(0), (std::vector<OpId>{2, 1}));
+    EXPECT_EQ(g.producers(3), (std::vector<OpId>{2, 1}));
+}
+
+TEST(GraphDeath, RestoreEdgesRejectsInconsistentLists)
+{
+    using Lists = std::vector<std::vector<OpId>>;
+    Graph g = diamond();
+    EXPECT_DEATH(g.restoreEdges(Lists(3), Lists(4)), "cover every node");
+    EXPECT_DEATH(g.restoreEdges({{0}, {}, {}, {}}, {{0}, {}, {}, {}}),
+                 "bad successor edge");
+    EXPECT_DEATH(g.restoreEdges({{9}, {}, {}, {}}, Lists(4)),
+                 "bad successor edge");
+    EXPECT_DEATH(g.restoreEdges(Lists(4), {{}, {8}, {}, {}}),
+                 "bad predecessor edge");
+    EXPECT_DEATH(g.restoreEdges({{1}, {}, {}, {}}, Lists(4)),
+                 "disagree");
+    EXPECT_DEATH(g.restoreEdges({{1, 1}, {}, {}, {}}, {{}, {0}, {}, {}}),
+                 "disagree");
+}
+
 TEST(Graph, ToStringMentionsEveryOp)
 {
     Graph g = diamond();

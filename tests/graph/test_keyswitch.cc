@@ -28,8 +28,9 @@ TEST(KeySwitchGraph, StructureIsAcyclicAndConnected)
 
     // Every non-input node is reachable: it has at least one producer.
     for (OpId v = 0; v < g.size(); ++v) {
-        if (g.op(v).kind != OpKind::Input)
+        if (g.op(v).kind != OpKind::Input) {
             EXPECT_FALSE(g.producers(v).empty()) << v;
+        }
     }
     EXPECT_NE(nodes.outB, nodes.outA);
 }

@@ -159,5 +159,111 @@ TEST(Serialize, RejectsTruncationAndTrailingGarbage)
     }
 }
 
+using Lists = std::vector<std::vector<graph::OpId>>;
+
+graph::Graph
+diamond()
+{
+    graph::Graph g;
+    graph::OpId in = g.add(graph::makeInput(1 << 10, 4));
+    graph::OpId l =
+        g.add(graph::makeEwBinary(graph::OpKind::EwMul, 1 << 10, 4));
+    graph::OpId r =
+        g.add(graph::makeEwBinary(graph::OpKind::EwAdd, 1 << 10, 4));
+    graph::OpId out = g.add(graph::makeOutput(1 << 10, 4));
+    g.connect(in, l);
+    g.connect(in, r);
+    g.connect(l, out);
+    g.connect(r, out);
+    return g;
+}
+
+/**
+ * Bytes of a group-less schedule over @p g whose encoded adjacency lists
+ * are replaced by @p succ and @p pred. The lists sit just before the
+ * schedule tail: an empty group sequence (one u64) and two SchedStats of
+ * ten 8-byte fields each.
+ */
+std::vector<u8>
+scheduleWithEdgeLists(const graph::Graph &g, const Lists &succ,
+                      const Lists &pred)
+{
+    sched::Schedule s;
+    s.graph = g;
+    const std::vector<u8> bytes = scheduleBytes(s);
+    std::size_t lists = 0;
+    for (graph::OpId v = 0; v < g.size(); ++v)
+        lists += 16 + 4 * (g.consumers(v).size() + g.producers(v).size());
+    const std::size_t tail = 8 + 2 * 10 * 8;
+    const std::size_t at = bytes.size() - tail - lists;
+
+    ByteWriter w;
+    for (const Lists *side : {&succ, &pred}) {
+        for (const auto &l : *side) {
+            w.putU64(l.size());
+            for (graph::OpId id : l)
+                w.putU32(id);
+        }
+    }
+    std::vector<u8> out(bytes.begin(), bytes.begin() + at);
+    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+    out.insert(out.end(), bytes.end() - tail, bytes.end());
+    return out;
+}
+
+bool
+decodes(const std::vector<u8> &bytes, sched::Schedule &back)
+{
+    ByteReader r(bytes);
+    return deserializeSchedule(r, back);
+}
+
+TEST(Serialize, EdgeListsRoundTripInTheirStoredOrder)
+{
+    graph::Graph g = diamond();
+    sched::Schedule back;
+    // The graph's own lists splice back in unchanged.
+    ASSERT_TRUE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
+                                              {{}, {0}, {0}, {1, 2}}),
+                        back));
+    EXPECT_EQ(back.graph.consumers(0), (std::vector<graph::OpId>{1, 2}));
+    // Any consistent order is accepted and kept verbatim.
+    ASSERT_TRUE(decodes(scheduleWithEdgeLists(g, {{2, 1}, {3}, {3}, {}},
+                                              {{}, {0}, {0}, {2, 1}}),
+                        back));
+    EXPECT_EQ(back.graph.consumers(0), (std::vector<graph::OpId>{2, 1}));
+    EXPECT_EQ(back.graph.producers(3), (std::vector<graph::OpId>{2, 1}));
+}
+
+TEST(Serialize, CorruptEdgeListsFailSoft)
+{
+    graph::Graph g = diamond();
+    sched::Schedule back;
+    // Self edge, consistent on both sides.
+    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{0, 2}, {3}, {3}, {}},
+                                               {{0}, {}, {0}, {1, 2}}),
+                         back));
+    // Successor id out of range.
+    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 9}, {3}, {3}, {}},
+                                               {{}, {0}, {0}, {1, 2}}),
+                         back));
+    // Predecessor id out of range.
+    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
+                                               {{}, {0}, {7}, {1, 2}}),
+                         back));
+    // Successor edge with no matching predecessor entry.
+    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
+                                               {{}, {0}, {}, {1, 2}}),
+                         back));
+    // Same pairs on both sides, different multiplicity.
+    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2, 2}, {3}, {3}, {}},
+                                               {{}, {0}, {0}, {1, 2}}),
+                         back));
+    // Predecessor entry naming the wrong producer.
+    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
+                                               {{}, {0}, {0}, {1, 0}}),
+                         back));
+}
+
 }  // namespace
 }  // namespace crophe::plan

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/parallel.h"
 #include "graph/params.h"
 #include "graph/workloads.h"
 #include "hw/config.h"
+#include "map/pod_place.h"
 #include "plan/plan_cache.h"
 #include "pod/pod.h"
 #include "sched/scheduler.h"
@@ -201,6 +204,56 @@ TEST(Pod, ResultsAreByteIdenticalAcrossThreadCounts)
     ASSERT_EQ(r1.perSegment.size(), r8.perSegment.size());
     EXPECT_EQ(r1.perSegment[0].stageChip, r8.perSegment[0].stageChip);
     EXPECT_EQ(r1.perSegment[0].cycles, r8.perSegment[0].cycles);
+}
+
+TEST(Pod, SegmentsWithFewerOpsThanChipsRunOnTheFirstChips)
+{
+    // A segment is cut into min(alive chips, ops) stages. A 3-op segment
+    // on an 8-chip pod used to abort in stage placement, which demanded
+    // one stage per alive chip.
+    graph::Workload w;
+    w.name = "tiny";
+    w.params = graph::paramsArk();
+    graph::WorkloadSegment seg;
+    seg.name = "scale";
+    graph::OpId in = seg.graph.add(graph::makeInput(1 << 16, 24));
+    graph::OpId mul = seg.graph.add(
+        graph::makeEwBinary(graph::OpKind::EwMul, 1 << 16, 24));
+    graph::OpId out = seg.graph.add(graph::makeOutput(1 << 16, 24));
+    seg.graph.connect(in, mul);
+    seg.graph.connect(mul, out);
+    seg.repetitions = 3;
+    w.segments.push_back(std::move(seg));
+
+    sched::SchedOptions so;
+    auto pr = schedulePodWorkload(w, hw::configCrophe64(), podOf(8), so);
+    ASSERT_EQ(pr.perSegment.size(), 1u);
+    const auto &sr = pr.perSegment[0];
+    EXPECT_EQ(sr.stages, 3u);
+    std::vector<u32> chips = sr.stageChip;
+    std::sort(chips.begin(), chips.end());
+    EXPECT_EQ(chips, (std::vector<u32>{0, 1, 2}));
+    EXPECT_GT(pr.seconds, 0.0);
+}
+
+TEST(PodPlace, FewerStagesThanAliveChipsTakeTheFirstChips)
+{
+    // Stage 0 talks to stage 2 only: the descent may permute the stages,
+    // but only over the first three alive chips.
+    std::vector<map::StageEdge> edges = {{0, 2, 100}, {1, 2, 1}};
+    auto chips = map::placeStagesOnRing(3, {0, 1, 2, 3, 4, 5}, 8, edges);
+    ASSERT_EQ(chips.size(), 3u);
+    std::sort(chips.begin(), chips.end());
+    EXPECT_EQ(chips, (std::vector<u32>{0, 1, 2}));
+    // One stage per alive chip keeps the identity start.
+    EXPECT_EQ(map::placeStagesOnRing(2, {0, 1}, 4, {}),
+              (std::vector<u32>{0, 1}));
+}
+
+TEST(PodPlaceDeath, MoreStagesThanAliveChipsPanics)
+{
+    EXPECT_DEATH(map::placeStagesOnRing(3, {0, 1}, 4, {}),
+                 "at most one stage per alive chip");
 }
 
 }  // namespace

@@ -36,7 +36,8 @@ twoTenants()
     std::vector<TenantSpec> tenants;
     for (u32 i = 0; i < 2; ++i) {
         TenantSpec t;
-        t.name = "t" + std::to_string(i);
+        // append, not "t" + ...: GCC 12 reports a false -Wrestrict there.
+        t.name = std::string("t").append(std::to_string(i));
         t.rate = i == 0 ? 1200.0 : 800.0;
         t.slaSeconds = 100e-6;  // tight: some met, some missed
         t.weight = i == 0 ? 2.0 : 1.0;

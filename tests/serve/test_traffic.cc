@@ -103,8 +103,9 @@ TEST(Traffic, IdsFollowMergedArrivalOrder)
     ASSERT_GT(r.size(), 10u);
     for (std::size_t i = 0; i < r.size(); ++i) {
         EXPECT_EQ(r[i].id, i);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(r[i].arrival, r[i - 1].arrival);
+        }
         EXPECT_EQ(r[i].deadline, r[i].arrival + 0.05);
     }
 }

@@ -1,44 +1,123 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "sim/event_queue.h"
 
 namespace crophe::sim {
 namespace {
 
+/** Pop every event, returning the ops in pop order. */
+std::vector<u32>
+drain(EventQueue &q)
+{
+    std::vector<u32> order;
+    while (!q.empty())
+        order.push_back(q.pop().op);
+    return order;
+}
+
 TEST(EventQueue, RunsInTimeOrder)
 {
     EventQueue q;
-    std::vector<int> order;
-    q.schedule(5.0, [&](SimTime) { order.push_back(2); });
-    q.schedule(1.0, [&](SimTime) { order.push_back(0); });
-    q.schedule(3.0, [&](SimTime) { order.push_back(1); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(q.processed(), 3u);
+    q.schedule(5.0, 2);
+    q.schedule(1.0, 0);
+    q.schedule(3.0, 1);
+    q.schedule(0.5, 7);
+    EXPECT_EQ(drain(q), (std::vector<u32>{7, 0, 1, 2}));
+    EXPECT_EQ(q.processed(), 4u);
 }
 
 TEST(EventQueue, StableForEqualTimestamps)
 {
+    // Equal times pop first-in first-out, interleaved with other times.
     EventQueue q;
-    std::vector<int> order;
-    for (int i = 0; i < 5; ++i)
-        q.schedule(2.0, [&, i](SimTime) { order.push_back(i); });
-    q.runAll();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    for (u32 i = 0; i < 5; ++i) {
+        q.schedule(2.0, i);
+        q.schedule(1.0 + 2.0 * (i % 2), 10 + i);
+    }
+    EXPECT_EQ(drain(q), (std::vector<u32>{10, 12, 14, 0, 1, 2, 3, 4, 11,
+                                          13}));
 }
 
 TEST(EventQueue, HandlersCanScheduleMoreEvents)
 {
+    // Events pushed while popping join the order by (time, sequence): a
+    // push at the current time lands behind everything already queued
+    // for that time.
     EventQueue q;
-    int count = 0;
-    std::function<void(SimTime)> chain = [&](SimTime t) {
-        if (++count < 4)
-            q.schedule(t + 1.0, chain);
-    };
-    q.schedule(0.0, chain);
-    SimTime last = q.runAll();
-    EXPECT_EQ(count, 4);
-    EXPECT_DOUBLE_EQ(last, 3.0);
+    q.schedule(0.0, 0);
+    q.schedule(0.0, 1);
+    q.schedule(2.0, 2);
+    std::vector<std::pair<SimTime, u32>> seen;
+    while (!q.empty()) {
+        const Event ev = q.pop();
+        seen.push_back({ev.when, ev.op});
+        if (ev.op == 0)
+            q.schedule(ev.when, 3);         // same time, after op 1
+        if (ev.op == 3)
+            q.schedule(ev.when + 1.0, 4);   // before op 2
+    }
+    EXPECT_EQ(seen, (std::vector<std::pair<SimTime, u32>>{
+                        {0.0, 0}, {0.0, 1}, {0.0, 3}, {1.0, 4}, {2.0, 2}}));
+}
+
+TEST(EventQueue, ProcessedCountsPopsAcrossDrains)
+{
+    // The counter is the simulator's sim.events: it counts popped events
+    // only and keeps counting when the queue is reused after draining.
+    EventQueue q;
+    EXPECT_EQ(q.processed(), 0u);
+    q.schedule(1.0, 0);
+    q.schedule(1.0, 1);
+    EXPECT_EQ(q.processed(), 0u);
+    q.pop();
+    EXPECT_EQ(q.processed(), 1u);
+    q.pop();
+    EXPECT_TRUE(q.empty());
+    q.schedule(0.0, 2);
+    EXPECT_EQ(q.pop().when, 0.0);
+    EXPECT_EQ(q.processed(), 3u);
+}
+
+TEST(EventQueue, MatchesASortedReferenceUnderRandomTraffic)
+{
+    // Random pushes (few distinct times, so many ties) interleaved with
+    // pops that never go back in time, as in the simulator: every pop
+    // must be the smallest (when, push index) still queued.
+    std::mt19937 rng(7);
+    EventQueue q;
+    std::set<std::pair<SimTime, u32>> pending;  // (when, push index)
+    u32 pushed = 0;
+    SimTime now = 0.0;
+    for (u32 step = 0; step < 20000; ++step) {
+        if (pending.empty() || rng() % 3 != 0) {
+            const SimTime when = now + static_cast<double>(rng() % 8);
+            q.schedule(when, pushed);
+            pending.insert({when, pushed++});
+            continue;
+        }
+        const Event ev = q.pop();
+        ASSERT_EQ(std::make_pair(ev.when, ev.op), *pending.begin());
+        pending.erase(pending.begin());
+        now = ev.when;
+    }
+    while (!q.empty()) {
+        ASSERT_EQ(q.pop().op, pending.begin()->second);
+        pending.erase(pending.begin());
+    }
+    EXPECT_TRUE(pending.empty());
+    EXPECT_EQ(q.processed(), pushed);
+}
+
+TEST(EventQueueDeath, RejectsNegativeTimesAndEmptyPops)
+{
+    EventQueue q;
+    EXPECT_DEATH(q.schedule(-1.0, 0), "negative event time");
+    EXPECT_DEATH(q.pop(), "empty queue");
 }
 
 TEST(Server, FifoBandwidthSemantics)

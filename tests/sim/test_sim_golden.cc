@@ -1,0 +1,272 @@
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
+#include <vector>
+
+#include "baselines/baseline.h"
+#include "common/parallel.h"
+#include "graph/workloads.h"
+#include "sched/mad.h"
+#include "sched/ntt_decomp.h"
+#include "sched/scheduler.h"
+#include "sim/simulator.h"
+
+/**
+ * @file
+ * Golden simulator statistics. Every statistic of a healthy (fault-free)
+ * SimStats, for every segment of bootstrap, HELR and ResNet-20, is pinned
+ * exactly on three schedule families: CROPHE-64 with Hybrid r=4 rotations, ARK+MAD, and CROPHE-64
+ * with every NTT forced through the four-step rewrite (n1=256), which is
+ * the only family that routes chunks through the transpose unit and
+ * places ops right-to-left. Cycles and PE busy cycles are compared as
+ * IEEE-754 bit patterns, so any change to event order, wake-up set,
+ * placement or resource booking shows up here, not just in the
+ * inequality checks of test_simulator.cc.
+ */
+
+namespace crophe::sim {
+namespace {
+
+struct Golden
+{
+    std::string design;
+    std::string workload;
+    std::string segment;
+    u64 cyclesBits;
+    u64 events;
+    u64 dramRowHits;
+    u64 dramRowMisses;
+    u64 dramWords;
+    u64 sramWords;
+    u64 nocWords;
+    u64 peBusyBits;
+    u64 transposeWords;
+    u64 flops;
+};
+
+// clang-format off
+const Golden kGolden[] = {
+    {"CROPHE-64", "bootstrap", "CoeffToSlot",
+     0x4130cdf414c69d45ull, 8938u, 5174u, 236298u, 61214912u, 524938496u,
+     215875584u, 0x4123a36ec7545d2bull, 0u, 1279066112u},
+    {"CROPHE-64", "bootstrap", "EvalMod",
+     0x410dda370bd2252dull, 1956u, 634u, 59142u, 15204736u, 54459328u,
+     44105728u, 0x40fbbe042a663e5bull, 0u, 168951808u},
+    {"CROPHE-64", "bootstrap", "SlotToCoeff",
+     0x41052c8dddf6d4b8ull, 7220u, 2807u, 32521u, 9043968u, 122679040u,
+     68354048u, 0x4102450de9bd1ac3ull, 0u, 248774656u},
+    {"CROPHE-64", "helr", "gradient-matvec",
+     0x4130e6f61bc2206aull, 35848u, 18422u, 201866u, 56361088u, 945065920u,
+     398458880u, 0x4124a157f729319eull, 0u, 1697579008u},
+    {"CROPHE-64", "helr", "sigmoid",
+     0x40f2940f6afebf13ull, 2013u, 252u, 18692u, 4849664u, 17038144u, 22675456u,
+     0x40e46458f7a5bd22ull, 0u, 52953088u},
+    {"CROPHE-64", "helr", "weight-update",
+     0x40d5a5156b2dbd1dull, 261u, 189u, 7491u, 1966080u, 0u, 1966080u,
+     0x408ddddddddddde3ull, 0u, 655360u},
+    {"CROPHE-64", "helr", "boot-CoeffToSlot",
+     0x4130cdf414c69d45ull, 8938u, 5174u, 236298u, 61214912u, 524938496u,
+     215875584u, 0x4123a36ec7545d2bull, 0u, 1279066112u},
+    {"CROPHE-64", "helr", "boot-EvalMod",
+     0x410dda370bd2252dull, 1956u, 634u, 59142u, 15204736u, 54459328u,
+     44105728u, 0x40fbbe042a663e5bull, 0u, 168951808u},
+    {"CROPHE-64", "helr", "boot-SlotToCoeff",
+     0x41052c8dddf6d4b8ull, 7220u, 2807u, 32521u, 9043968u, 122679040u,
+     68354048u, 0x4102450de9bd1ac3ull, 0u, 248774656u},
+    {"CROPHE-64", "resnet20", "conv-matmul",
+     0x4133f1d3b8d99878ull, 37896u, 22582u, 223370u, 61870272u, 1126335040u,
+     465829888u, 0x412ba45e724b228bull, 0u, 2018574336u},
+    {"CROPHE-64", "resnet20", "relu-poly",
+     0x40f68af14e1a0089ull, 2013u, 252u, 22788u, 5898240u, 19922048u, 27394048u,
+     0x40e8c9a3a5dd4692ull, 0u, 63700992u},
+    {"CROPHE-64", "resnet20", "boot-CoeffToSlot",
+     0x4130cdf414c69d45ull, 8938u, 5174u, 236298u, 61214912u, 524938496u,
+     215875584u, 0x4123a36ec7545d2bull, 0u, 1279066112u},
+    {"CROPHE-64", "resnet20", "boot-EvalMod",
+     0x410dda370bd2252dull, 1956u, 634u, 59142u, 15204736u, 54459328u,
+     44105728u, 0x40fbbe042a663e5bull, 0u, 168951808u},
+    {"CROPHE-64", "resnet20", "boot-SlotToCoeff",
+     0x41052c8dddf6d4b8ull, 7220u, 2807u, 32521u, 9043968u, 122679040u,
+     68354048u, 0x4102450de9bd1ac3ull, 0u, 248774656u},
+    {"ARK+MAD", "bootstrap", "CoeffToSlot",
+     0x4133145c8739908bull, 3083u, 4669u, 325379u, 84020608u, 602928384u,
+     67764224u, 0x41151078e38e38e8ull, 0u, 1053360128u},
+    {"ARK+MAD", "bootstrap", "EvalMod",
+     0x410ac50a3c879f54ull, 484u, 638u, 59138u, 15204736u, 83164928u, 12320768u,
+     0x40ec037777777777ull, 0u, 168951808u},
+    {"ARK+MAD", "bootstrap", "SlotToCoeff",
+     0x4109524995f58853ull, 3047u, 2813u, 41731u, 11403264u, 165934464u,
+     17629184u, 0x40f1a40000000000ull, 0u, 219676672u},
+    {"ARK+MAD", "helr", "gradient-matvec",
+     0x4134c32b793af66aull, 20175u, 18429u, 286211u, 77987840u, 1097054272u,
+     177471488u, 0x411e621555555555ull, 0u, 1520631808u},
+    {"ARK+MAD", "helr", "sigmoid",
+     0x40f1516994237f82ull, 477u, 254u, 18690u, 4849664u, 29556480u, 4653056u,
+     0x40d1b77777777778ull, 0u, 52953088u},
+    {"ARK+MAD", "helr", "weight-update",
+     0x40d2a07e4b17e4a5ull, 133u, 189u, 7491u, 1966080u, 0u, 655360u,
+     0x407aaaaaaaaaaab1ull, 0u, 655360u},
+    {"ARK+MAD", "helr", "boot-CoeffToSlot",
+     0x4133145c8739908bull, 3083u, 4669u, 325379u, 84020608u, 602928384u,
+     67764224u, 0x41151078e38e38e8ull, 0u, 1053360128u},
+    {"ARK+MAD", "helr", "boot-EvalMod",
+     0x410ac50a3c879f54ull, 484u, 638u, 59138u, 15204736u, 83164928u, 12320768u,
+     0x40ec037777777777ull, 0u, 168951808u},
+    {"ARK+MAD", "helr", "boot-SlotToCoeff",
+     0x4109524995f58853ull, 3047u, 2813u, 41731u, 11403264u, 165934464u,
+     17629184u, 0x40f1a40000000000ull, 0u, 219676672u},
+    {"ARK+MAD", "resnet20", "conv-matmul",
+     0x4137a0b4720ffc71ull, 20175u, 22333u, 318979u, 86380352u, 1296808128u,
+     216924160u, 0x41220d671c71c71dull, 0u, 1807024128u},
+    {"ARK+MAD", "resnet20", "relu-poly",
+     0x40f4fa67db97534cull, 477u, 254u, 22786u, 5898240u, 34799296u, 5832704u,
+     0x40d55aaaaaaaaaabull, 0u, 63700992u},
+    {"ARK+MAD", "resnet20", "boot-CoeffToSlot",
+     0x4133145c8739908bull, 3083u, 4669u, 325379u, 84020608u, 602928384u,
+     67764224u, 0x41151078e38e38e8ull, 0u, 1053360128u},
+    {"ARK+MAD", "resnet20", "boot-EvalMod",
+     0x410ac50a3c879f54ull, 484u, 638u, 59138u, 15204736u, 83164928u, 12320768u,
+     0x40ec037777777777ull, 0u, 168951808u},
+    {"ARK+MAD", "resnet20", "boot-SlotToCoeff",
+     0x4109524995f58853ull, 3047u, 2813u, 41731u, 11403264u, 165934464u,
+     17629184u, 0x40f1a40000000000ull, 0u, 219676672u},
+    {"CROPHE-64/nttdec", "bootstrap", "CoeffToSlot",
+     0x4138349962420a88ull, 12686u, 5110u, 266122u, 68817280u, 917690048u,
+     191430656u, 0x411f6a9a44939d43ull, 72220672u, 1351286784u},
+    {"CROPHE-64/nttdec", "bootstrap", "EvalMod",
+     0x41118a3ee09a381eull, 2760u, 636u, 59140u, 15204736u, 82705216u,
+     51904512u, 0x40f187cf473f8561ull, 10616832u, 179568640u},
+    {"CROPHE-64/nttdec", "bootstrap", "SlotToCoeff",
+     0x4110bf5e1989554full, 8492u, 2614u, 32714u, 9043968u, 209580224u,
+     53411840u, 0x41024a0a29f7154eull, 15728640u, 264503296u},
+    {"CROPHE-64/nttdec", "helr", "gradient-matvec",
+     0x414047eb5501bb60ull, 24112u, 21238u, 362378u, 98041216u, 1718930944u,
+     174915584u, 0x4122e2cdedf897e4ull, 90439680u, 1788018688u},
+    {"CROPHE-64/nttdec", "helr", "sigmoid",
+     0x40f6d55ce38db5f6ull, 2421u, 253u, 18691u, 4849664u, 23329536u, 23199744u,
+     0x40da6d303c6d303aull, 3670016u, 56623104u},
+    {"CROPHE-64/nttdec", "helr", "weight-update",
+     0x40d5a5156b2dbd1dull, 261u, 189u, 7491u, 1966080u, 0u, 1966080u,
+     0x408ddddddddddde3ull, 0u, 655360u},
+    {"CROPHE-64/nttdec", "helr", "boot-CoeffToSlot",
+     0x4138349962420a88ull, 12686u, 5110u, 266122u, 68817280u, 917690048u,
+     191430656u, 0x411f6a9a44939d43ull, 72220672u, 1351286784u},
+    {"CROPHE-64/nttdec", "helr", "boot-EvalMod",
+     0x41118a3ee09a381eull, 2760u, 636u, 59140u, 15204736u, 82705216u,
+     51904512u, 0x40f187cf473f8561ull, 10616832u, 179568640u},
+    {"CROPHE-64/nttdec", "helr", "boot-SlotToCoeff",
+     0x4110bf5e1989554full, 8492u, 2614u, 32714u, 9043968u, 209580224u,
+     53411840u, 0x41024a0a29f7154eull, 15728640u, 264503296u},
+    {"CROPHE-64/nttdec", "resnet20", "conv-matmul",
+     0x41464c31080f06bdull, 24304u, 29110u, 585034u, 155585536u, 1986301632u,
+     201261056u, 0x41267adcf5f0ec02ull, 102498304u, 2121072640u},
+    {"CROPHE-64/nttdec", "resnet20", "relu-poly",
+     0x40fb528fa525d6e6ull, 2357u, 253u, 22787u, 5898240u, 28310464u, 27000832u,
+     0x40de711123e51127ull, 4194304u, 67895296u},
+    {"CROPHE-64/nttdec", "resnet20", "boot-CoeffToSlot",
+     0x4138349962420a88ull, 12686u, 5110u, 266122u, 68817280u, 917690048u,
+     191430656u, 0x411f6a9a44939d43ull, 72220672u, 1351286784u},
+    {"CROPHE-64/nttdec", "resnet20", "boot-EvalMod",
+     0x41118a3ee09a381eull, 2760u, 636u, 59140u, 15204736u, 82705216u,
+     51904512u, 0x40f187cf473f8561ull, 10616832u, 179568640u},
+    {"CROPHE-64/nttdec", "resnet20", "boot-SlotToCoeff",
+     0x4110bf5e1989554full, 8492u, 2614u, 32714u, 9043968u, 209580224u,
+     53411840u, 0x41024a0a29f7154eull, 15728640u, 264503296u},
+};
+// clang-format on
+
+constexpr const char *kNttDec = "CROPHE-64/nttdec";
+
+u64
+bitsOf(double v)
+{
+    u64 b;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+}
+
+/** Schedule and simulate every segment of every golden family, in table
+ *  order. */
+std::vector<Golden>
+simulateAll()
+{
+    std::vector<Golden> out;
+    for (const char *design : {"CROPHE-64", "ARK+MAD", kNttDec}) {
+        const bool dec = std::strcmp(design, kNttDec) == 0;
+        baselines::DesignSpec d =
+            baselines::designByName(dec ? "CROPHE-64" : design);
+        sched::SchedOptions opt;
+        graph::WorkloadOptions wopt;
+        if (d.mad) {
+            opt = sched::madOptions();
+            wopt = sched::madWorkloadOptions();
+        } else {
+            opt.nttDecomp = d.nttDecomp && !dec;
+            wopt.rotMode = graph::RotMode::Hybrid;
+            wopt.rHyb = 4;
+        }
+        for (const char *wl : {"bootstrap", "helr", "resnet20"}) {
+            graph::Workload w = graph::buildWorkload(wl, d.params, wopt);
+            for (const auto &seg : w.segments) {
+                graph::Graph g =
+                    dec ? sched::rewriteNttDecomposition(seg.graph, 256)
+                        : seg.graph;
+                sched::Schedule s = sched::scheduleGraph(g, d.cfg, opt);
+                SimStats st = simulateSchedule(s, d.cfg);
+                out.push_back({design, wl, seg.name,
+                               bitsOf(st.cycles), st.events,
+                               st.dramRowHits, st.dramRowMisses,
+                               st.dramWords, st.sramWords, st.nocWords,
+                               bitsOf(st.peBusy), st.transposeWords,
+                               st.flops});
+            }
+        }
+    }
+    return out;
+}
+
+void
+expectGolden(u32 threads)
+{
+    ThreadPool::setGlobalThreads(threads);
+    std::vector<Golden> got = simulateAll();
+    ThreadPool::setGlobalThreads(0);
+    ASSERT_EQ(got.size(), std::size(kGolden));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        const Golden &e = kGolden[i];
+        const Golden &a = got[i];
+        SCOPED_TRACE(e.design + "/" + e.workload + "/" + e.segment);
+        EXPECT_EQ(a.design, e.design);
+        EXPECT_EQ(a.workload, e.workload);
+        EXPECT_EQ(a.segment, e.segment);
+        EXPECT_EQ(a.cyclesBits, e.cyclesBits);
+        EXPECT_EQ(a.events, e.events);
+        EXPECT_EQ(a.dramRowHits, e.dramRowHits);
+        EXPECT_EQ(a.dramRowMisses, e.dramRowMisses);
+        EXPECT_EQ(a.dramWords, e.dramWords);
+        EXPECT_EQ(a.sramWords, e.sramWords);
+        EXPECT_EQ(a.nocWords, e.nocWords);
+        EXPECT_EQ(a.peBusyBits, e.peBusyBits);
+        EXPECT_EQ(a.transposeWords, e.transposeWords);
+        EXPECT_EQ(a.flops, e.flops);
+    }
+}
+
+TEST(SimGolden, EveryStatisticAtOneThread) { expectGolden(1); }
+
+TEST(SimGolden, EveryStatisticAtEightThreads) { expectGolden(8); }
+
+TEST(SimGolden, ForcedNttDecompositionExercisesTheTransposeUnit)
+{
+    // Guards the table itself: without transpose traffic the right-to-
+    // left placement and the transpose path would go unpinned.
+    u64 transposed = 0;
+    for (const Golden &e : kGolden)
+        if (e.design == kNttDec)
+            transposed += e.transposeWords;
+    EXPECT_GT(transposed, 0u);
+}
+
+}  // namespace
+}  // namespace crophe::sim

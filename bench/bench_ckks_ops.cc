@@ -137,39 +137,22 @@ BM_Rescale(benchmark::State &state)
 }
 BENCHMARK(BM_Rescale);
 
+/** HRot; ntt_limbs = measured transforms per iteration. */
 void
 BM_HRot(benchmark::State &state)
 {
     auto &b = fixture();
-    for (auto _ : state) {
-        auto c = b.eval.rotate(b.ct0, 1, b.rk1);
-        benchmark::DoNotOptimize(c.scale);
-    }
-}
-BENCHMARK(BM_HRot);
-
-/** HRot under each key-switch dataflow; ntt_limbs = measured transforms
- *  per iteration, so the CiFlow reorderings' NTT savings are visible in
- *  the table, not just in the op-count model. */
-void
-BM_HRotDataflow(benchmark::State &state, KeySwitchDataflow df)
-{
-    auto &b = fixture();
-    b.eval.setKeySwitchDataflow(df);
     u64 limbs0 = nttLimbTransforms();
     for (auto _ : state) {
         auto c = b.eval.rotate(b.ct0, 1, b.rk1);
         benchmark::DoNotOptimize(c.scale);
     }
     u64 limbs = nttLimbTransforms() - limbs0;
-    b.eval.setKeySwitchDataflow(KeySwitchDataflow::Fused);
     state.counters["ntt_limbs"] = benchmark::Counter(
         static_cast<double>(limbs) /
         static_cast<double>(std::max<i64>(1, state.iterations())));
 }
-BENCHMARK_CAPTURE(BM_HRotDataflow, fused, KeySwitchDataflow::Fused);
-BENCHMARK_CAPTURE(BM_HRotDataflow, ostat, KeySwitchDataflow::OutputStationary);
-BENCHMARK_CAPTURE(BM_HRotDataflow, reordup, KeySwitchDataflow::ReorderedModUp);
+BENCHMARK(BM_HRot);
 
 /** BSGS PtMatVecMult (Algorithm 1) at matching (n1, n2) under each
  *  rotation strategy. TripleHoisted must show fewer ntt_limbs and less

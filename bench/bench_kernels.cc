@@ -379,35 +379,6 @@ benchKeySwitch(const std::vector<kernels::Backend> &backends)
                    (void)out;
                }));
     }
-
-    // CiFlow-reordered dataflows of the same rotate (bit-identical
-    // outputs); the reference stays the unfused seed flow, so the three
-    // key_switch* tables share a comparable speedup base.
-    const struct
-    {
-        KeySwitchDataflow df;
-        const char *bench;
-    } kDataflows[] = {
-        {KeySwitchDataflow::OutputStationary, "key_switch_ostat"},
-        {KeySwitchDataflow::ReorderedModUp, "key_switch_reordup"},
-    };
-    for (const auto &v : kDataflows) {
-        kernels::setBackend(kernels::Backend::Scalar);
-        record(v.bench, "reference", fx.ctx.n(), limbs, timeOp([&] {
-                   Ciphertext out = fx.rotateUnfused();
-                   (void)out;
-               }));
-        fx.eval.setKeySwitchDataflow(v.df);
-        for (kernels::Backend b : backends) {
-            kernels::setBackend(b);
-            record(v.bench, kernels::table().name, fx.ctx.n(), limbs,
-                   timeOp([&] {
-                       Ciphertext out = fx.eval.rotate(fx.ct, 1, fx.rk1);
-                       (void)out;
-                   }));
-        }
-        fx.eval.setKeySwitchDataflow(KeySwitchDataflow::Fused);
-    }
 }
 
 void
@@ -535,19 +506,6 @@ runDigest(const std::vector<kernels::Backend> &backends)
         std::printf("digest key_switch_unfused %s %016llx%016llx\n", name,
                     static_cast<unsigned long long>(hashPoly(rotu.b)),
                     static_cast<unsigned long long>(hashPoly(rotu.a)));
-
-        // CiFlow dataflows: bit-identical to the fused rows above, so the
-        // printed hashes must repeat them exactly.
-        for (KeySwitchDataflow df : {KeySwitchDataflow::OutputStationary,
-                                     KeySwitchDataflow::ReorderedModUp}) {
-            fx.eval.setKeySwitchDataflow(df);
-            Ciphertext r2 = fx.eval.rotate(fx.ct, 1, fx.rk1);
-            std::printf("digest key_switch_%s %s %016llx%016llx\n",
-                        keySwitchDataflowName(df), name,
-                        static_cast<unsigned long long>(hashPoly(r2.b)),
-                        static_cast<unsigned long long>(hashPoly(r2.a)));
-        }
-        fx.eval.setKeySwitchDataflow(KeySwitchDataflow::Fused);
 
         // Triple-hoisted BSGS matvec: not bit-identical to the other
         // strategies (hoisting lift ambiguity), but deterministic, so its

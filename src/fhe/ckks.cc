@@ -1,29 +1,13 @@
 #include "fhe/ckks.h"
 
-#include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <memory>
 
-#include "common/arena.h"
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "fhe/automorphism.h"
-#include "fhe/kernels/kernels.h"
 
 namespace crophe::fhe {
-
-const char *
-keySwitchDataflowName(KeySwitchDataflow df)
-{
-    switch (df) {
-      case KeySwitchDataflow::Fused: return "fused";
-      case KeySwitchDataflow::Unfused: return "unfused";
-      case KeySwitchDataflow::OutputStationary: return "ostat";
-      case KeySwitchDataflow::ReorderedModUp: return "reordup";
-    }
-    return "?";
-}
 
 namespace {
 
@@ -189,21 +173,6 @@ Evaluator::mulConst(const Ciphertext &ct, double c) const
 std::pair<RnsPoly, RnsPoly>
 Evaluator::keySwitch(const RnsPoly &d, u32 level, const KswKey &key) const
 {
-    switch (ksDataflow_) {
-      case KeySwitchDataflow::Unfused:
-          return keySwitchUnfused(d, level, key);
-      case KeySwitchDataflow::OutputStationary:
-          return keySwitchOutputStationary(d, level, key);
-      case KeySwitchDataflow::ReorderedModUp:
-          return keySwitchReorderedModUp(d, level, key);
-      case KeySwitchDataflow::Fused: break;
-    }
-    return keySwitchFused(d, level, key);
-}
-
-std::pair<RnsPoly, RnsPoly>
-Evaluator::keySwitchFused(const RnsPoly &d, u32 level, const KswKey &key) const
-{
     CROPHE_ASSERT(d.rep() == Rep::Eval, "keySwitch expects Eval input");
     // The Coeff-domain copy feeds every digit's BConv; the Eval-domain
     // original supplies each digit's own limbs directly (fused ModUp).
@@ -280,163 +249,6 @@ Evaluator::keySwitchUnfused(const RnsPoly &d, u32 level,
     out_b.toEval();
     out_a.toEval();
     return {std::move(out_b), std::move(out_a)};
-}
-
-std::pair<RnsPoly, RnsPoly>
-Evaluator::keySwitchOutputStationary(const RnsPoly &d, u32 level,
-                                     const KswKey &key) const
-{
-    CROPHE_ASSERT(d.rep() == Rep::Eval, "keySwitch expects Eval input");
-    RnsPoly d_coeff = d;
-    d_coeff.toCoeff();
-
-    const u32 beta = ctx_->digitCount(level);
-    CROPHE_ASSERT(beta <= key.digitCount(), "key has too few digits");
-
-    // Stage 1: ModUp every digit (same fused iNTT→BConv→NTT pipeline as
-    // keySwitchFused — the dataflow change is confined to the KSKInP).
-    std::vector<RnsPoly> ups(beta);
-    parallelFor(0, beta, [&](u64 j) {
-        ups[j] = fusedModUpEval(*ctx_, d, d_coeff, static_cast<u32>(j),
-                                level);
-    });
-
-    // Stage 2: output-stationary KSKInP. The fused path materializes β
-    // whole partial-product polynomial pairs and then merges them; here
-    // each extended-basis output limb of (b, a) is multiplied and
-    // accumulated across all β digits while it stays resident, so the
-    // only β-sized intermediate is one scratch row per thread. Per limb
-    // the operation sequence (Barrett product in ascending digit order,
-    // then modular add) matches the fused path exactly, so the result
-    // is bit-identical.
-    auto qp = ctx_->qpBasis(level);
-    const u32 ext = static_cast<u32>(qp.size());
-    const u64 n = ctx_->n();
-    RnsPoly acc_b(*ctx_, qp, Rep::Eval);
-    RnsPoly acc_a(*ctx_, qp, Rep::Eval);
-
-    // Key digits all share the qpBasis(L) layout; map each output limb
-    // to its row in the key polynomials once.
-    std::vector<u32> kmap(ext);
-    const auto &key_basis = key.b[0].basis();
-    for (u32 k = 0; k < ext; ++k) {
-        auto it = std::find(key_basis.begin(), key_basis.end(), qp[k]);
-        CROPHE_ASSERT(it != key_basis.end(), "key basis missing limb");
-        kmap[k] = static_cast<u32>(it - key_basis.begin());
-    }
-
-    const auto &kt = kernels::table();
-    parallelFor(0, ext, [&](u64 k) {
-        const Modulus &m = ctx_->mod(qp[k]);
-        const kernels::BarrettView bv{m.value(), m.barrettLo(),
-                                      m.barrettHi()};
-        u64 *db = acc_b.limb(static_cast<u32>(k)).data();
-        u64 *da = acc_a.limb(static_cast<u32>(k)).data();
-        ScratchArena::Scope scope;
-        u64 *tmp = ScratchArena::local().alloc<u64>(n);
-        for (u32 j = 0; j < beta; ++j) {
-            const u64 *up = ups[j].limb(static_cast<u32>(k)).data();
-            const u64 *kb = key.b[j].limb(kmap[k]).data();
-            const u64 *ka = key.a[j].limb(kmap[k]).data();
-            if (j == 0) {
-                // Digit 0 writes the products straight into the
-                // accumulator rows (identical to seeding from parts[0]).
-                std::memcpy(db, up, n * sizeof(u64));
-                kt.mulModBarrett(db, kb, n, bv);
-                std::memcpy(da, up, n * sizeof(u64));
-                kt.mulModBarrett(da, ka, n, bv);
-            } else {
-                std::memcpy(tmp, up, n * sizeof(u64));
-                kt.mulModBarrett(tmp, kb, n, bv);
-                kt.addMod(db, tmp, n, m.value());
-                std::memcpy(tmp, up, n * sizeof(u64));
-                kt.mulModBarrett(tmp, ka, n, bv);
-                kt.addMod(da, tmp, n, m.value());
-            }
-        }
-    });
-
-    return modDownEvalPair(*ctx_, acc_b, acc_a, level);
-}
-
-std::pair<RnsPoly, RnsPoly>
-Evaluator::keySwitchReorderedModUp(const RnsPoly &d, u32 level,
-                                   const KswKey &key) const
-{
-    CROPHE_ASSERT(d.rep() == Rep::Eval, "keySwitch expects Eval input");
-    RnsPoly d_coeff = d;
-    d_coeff.toCoeff();
-
-    const u32 beta = ctx_->digitCount(level);
-    CROPHE_ASSERT(beta <= key.digitCount(), "key has too few digits");
-    auto target = ctx_->qpBasis(level);
-    const u32 ext = static_cast<u32>(target.size());
-    const auto &d_basis = d.basis();
-
-    // Stage 1: every digit's BConv runs before any forward transform.
-    // Own limbs are copied from the Eval-domain input as in the fused
-    // path; converted rows are left in the Coeff domain inside the
-    // Eval-tagged output slabs (transformed in place in stage 2).
-    std::vector<RnsPoly> ups(beta);
-    for (u32 j = 0; j < beta; ++j)
-        ups[j] = RnsPoly(*ctx_, target, Rep::Eval);
-    std::vector<std::vector<u8>> own(beta, std::vector<u8>(ext, 0));
-    parallelFor(0, beta, [&](u64 j) {
-        auto digit_limbs = ctx_->digitLimbs(static_cast<u32>(j), level);
-        RnsPoly digit_poly = d_coeff.restrictedTo(digit_limbs);
-        std::vector<u32> missing;
-        std::vector<u64 *> missing_rows;
-        for (u32 k = 0; k < ext; ++k) {
-            bool is_own = std::find(digit_limbs.begin(), digit_limbs.end(),
-                                    target[k]) != digit_limbs.end();
-            own[j][k] = is_own ? 1 : 0;
-            if (is_own) {
-                auto it = std::find(d_basis.begin(), d_basis.end(),
-                                    target[k]);
-                CROPHE_ASSERT(it != d_basis.end(),
-                              "digit limb missing from d_eval");
-                ups[j].copyLimbFrom(
-                    k, d, static_cast<u32>(it - d_basis.begin()));
-            } else {
-                missing.push_back(target[k]);
-                missing_rows.push_back(ups[j].limb(k).data());
-            }
-        }
-        const BaseConverter &conv = ctx_->converter(digit_limbs, missing);
-        conv.convertInto(digit_poly, missing_rows.data());
-    });
-
-    // Stage 2: group the converted rows of all digits by target modulus
-    // and push each group through one batched forward NTT — one twiddle
-    // walk per modulus instead of β. The batched transform applies the
-    // same butterfly sequence per row as the scalar one, so this is
-    // bit-identical to the fused path's per-digit transforms.
-    parallelFor(0, ext, [&](u64 k) {
-        std::vector<u64 *> rows;
-        rows.reserve(beta);
-        for (u32 j = 0; j < beta; ++j)
-            if (!own[j][k])
-                rows.push_back(ups[j].limb(static_cast<u32>(k)).data());
-        if (!rows.empty())
-            ctx_->ntt(target[k]).forwardBatched(rows.data(), rows.size());
-    });
-
-    // Stage 3: KSKInP + ModDown, identical to the fused path.
-    std::vector<std::unique_ptr<std::pair<RnsPoly, RnsPoly>>> parts(beta);
-    parallelFor(0, beta, [&](u64 j) {
-        RnsPoly part_b = ups[j];
-        part_b.mulEwRestricted(key.b[j]);
-        ups[j].mulEwRestricted(key.a[j]);
-        parts[j] = std::make_unique<std::pair<RnsPoly, RnsPoly>>(
-            std::move(part_b), std::move(ups[j]));
-    });
-    RnsPoly acc_b = std::move(parts[0]->first);
-    RnsPoly acc_a = std::move(parts[0]->second);
-    for (u32 j = 1; j < beta; ++j) {
-        acc_b.addInplace(parts[j]->first);
-        acc_a.addInplace(parts[j]->second);
-    }
-    return modDownEvalPair(*ctx_, acc_b, acc_a, level);
 }
 
 std::vector<RnsPoly>

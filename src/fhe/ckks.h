@@ -30,29 +30,6 @@ struct Ciphertext
     u32 level = 0;
 };
 
-/**
- * Dataflow variants of the raw key switch. All four compute bit-identical
- * results — they reorder the same exact integer operations — and differ
- * only in loop structure, parallel axis and intermediate traffic
- * (CiFlow-style reordered pipelines; DESIGN.md §15).
- */
-enum class KeySwitchDataflow : u8
-{
-    Fused = 0,    ///< per-digit fused iNTT→BConv→NTT pipeline (default)
-    Unfused = 1,  ///< whole-stage reference flow (differential oracle)
-    /** CiFlow output-stationary KSKInP: all digits are ModUp-ed first,
-     *  then each extended-basis output limb is accumulated to completion
-     *  while it stays resident (parallel axis = output limbs). */
-    OutputStationary = 2,
-    /** CiFlow reordered ModUp: every digit's BConv runs before any
-     *  forward transform, then the per-modulus rows of all digits go
-     *  through one batched NTT (shared twiddle walk per modulus). */
-    ReorderedModUp = 3,
-};
-
-/** Stable lowercase name: fused | unfused | ostat | reordup. */
-const char *keySwitchDataflowName(KeySwitchDataflow df);
-
 /** All homomorphic operations over one FheContext. */
 class Evaluator
 {
@@ -103,23 +80,14 @@ class Evaluator
 
     /**
      * Raw key switching: given a polynomial d over qBasis(level) in Eval
-     * rep, return (b, a) = P^{-1}(d ⊙ evk) per Equation (1). Dispatches
-     * on the Evaluator's configured KeySwitchDataflow (default: the fused
-     * per-digit pipeline of DESIGN.md §13). Every dataflow is
-     * bit-identical — the choice only moves the same exact operations
-     * around.
-     */
-    std::pair<RnsPoly, RnsPoly> keySwitch(const RnsPoly &d, u32 level,
-                                          const KswKey &key) const;
-
-    /**
-     * The fused per-digit iNTT→BConv→NTT pipeline (DESIGN.md §13): ModUp
+     * rep, return (b, a) = P^{-1}(d ⊙ evk) per Equation (1), through the
+     * fused per-digit iNTT→BConv→NTT pipeline (DESIGN.md §13): ModUp
      * copies the digit's own limbs from the Eval-domain input and ModDown
      * stays in the Eval domain, skipping the transform round trips of the
      * unfused flow. Bit-identical to keySwitchUnfused().
      */
-    std::pair<RnsPoly, RnsPoly> keySwitchFused(const RnsPoly &d, u32 level,
-                                               const KswKey &key) const;
+    std::pair<RnsPoly, RnsPoly> keySwitch(const RnsPoly &d, u32 level,
+                                          const KswKey &key) const;
 
     /**
      * The unfused Decomp → ModUp → KSKInP → ModDown reference flow, each
@@ -129,27 +97,6 @@ class Evaluator
      */
     std::pair<RnsPoly, RnsPoly> keySwitchUnfused(const RnsPoly &d, u32 level,
                                                  const KswKey &key) const;
-
-    /**
-     * CiFlow output-stationary KSKInP (DESIGN.md §15): ModUp all digits,
-     * then walk the extended basis limb-major — each output limb of the
-     * (b, a) accumulator pair is multiplied and accumulated across all β
-     * digits while it stays resident, instead of materializing β whole
-     * partial-product polynomials. Same transforms, different loop nest;
-     * bit-identical to keySwitchFused().
-     */
-    std::pair<RnsPoly, RnsPoly> keySwitchOutputStationary(
-        const RnsPoly &d, u32 level, const KswKey &key) const;
-
-    /**
-     * CiFlow reordered-ModUp (DESIGN.md §15): run every digit's BConv
-     * before any forward transform, then group the converted rows of all
-     * digits by target modulus and push each group through one batched
-     * NTT call (one twiddle walk per modulus instead of β). Bit-identical
-     * to keySwitchFused().
-     */
-    std::pair<RnsPoly, RnsPoly> keySwitchReorderedModUp(
-        const RnsPoly &d, u32 level, const KswKey &key) const;
 
     // --- Hoisting primitives (triple-hoisted BSGS, DESIGN.md §15) -------
 
@@ -187,17 +134,12 @@ class Evaluator
                              const std::vector<RnsPoly> &digits, i64 r,
                              const KswKey &rk) const;
 
-    /** Select the key-switch dataflow used by keySwitch()/rotate()/mul(). */
-    void setKeySwitchDataflow(KeySwitchDataflow df) { ksDataflow_ = df; }
-    KeySwitchDataflow keySwitchDataflow() const { return ksDataflow_; }
-
     const Encoder &encoder() const { return encoder_; }
 
   private:
     const FheContext *ctx_;
     Encoder encoder_;
     mutable Rng rng_;
-    KeySwitchDataflow ksDataflow_ = KeySwitchDataflow::Fused;
 };
 
 }  // namespace crophe::fhe

@@ -23,8 +23,9 @@
 
 namespace crophe::graph {
 
-/** Graph-level key-switch dataflow (mirrors fhe::KeySwitchDataflow minus
- *  the unfused oracle, which only exists for differential testing). */
+/** Key-switch dataflow as a scheduler search point (DESIGN.md §15). The
+ *  CKKS library runs only the fused pipeline; the CiFlow variants exist
+ *  here, as op graphs the cost model prices. */
 enum class KsDataflow : u8
 {
     Fused = 0,             ///< per-digit iNTT→BConv→NTT pipeline (default)

@@ -142,15 +142,6 @@ mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
         pe.hops = std::max<u32>(1, hops);
         mapping.edges.push_back(pe);
     }
-
-    // Distance from the buffer crossbar (column 0 side) to each op.
-    double buf_hops = 0.0;
-    for (const auto &p : mapping.placements)
-        buf_hops += p.centroidX + 1.0;
-    mapping.avgBufferHops =
-        mapping.placements.empty()
-            ? 1.0
-            : buf_hops / static_cast<double>(mapping.placements.size());
     return mapping;
 }
 

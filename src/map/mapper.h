@@ -51,8 +51,6 @@ struct GroupMapping
     std::vector<PePlacement> placements;
     /** Parallel to SpatialGroup::internalEdges. */
     std::vector<PlacedEdge> edges;
-    /** Average hops from the array edge (buffer crossbar) to each op. */
-    double avgBufferHops = 0.0;
 };
 
 /** Place one analyzed spatial group on the array of @p cfg. */

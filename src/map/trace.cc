@@ -42,8 +42,6 @@ buildTrace(const sched::SpatialGroup &group, const GroupMapping &mapping,
                                           cfg.lanes);
         top.computePerChunk = std::max(compute, stream) /
                               static_cast<double>(top.chunks);
-        top.bufferHops = std::max<u32>(
-            1, static_cast<u32>(mapping.avgBufferHops));
         trace.ops.push_back(std::move(top));
 
         sram_w[i] = static_cast<double>(op.inputWords + op.outputWords);

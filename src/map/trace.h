@@ -33,7 +33,6 @@ struct TraceOp
     u64 dramWordsPerChunk = 0;     ///< off-chip words fetched per chunk
     u64 sramWordsPerChunk = 0;     ///< global-buffer words per chunk
     u64 nocWordsPerChunk = 0;      ///< forwarded words per chunk
-    u32 bufferHops = 1;            ///< distance to the buffer crossbar
     std::vector<TraceDep> deps;
 };
 

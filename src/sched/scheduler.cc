@@ -814,21 +814,25 @@ scheduleGraph(const Graph &g, const hw::HwConfig &cfg,
     return sched;
 }
 
+hw::HwConfig
+clusterConfig(const hw::HwConfig &cfg, u32 clusters)
+{
+    hw::HwConfig slice = cfg;
+    if (clusters > 1) {
+        slice.numPes = std::max<u32>(1, cfg.numPes / clusters);
+        slice.meshY = std::max<u32>(1, cfg.meshY / clusters);
+        slice.sramGBs = cfg.sramGBs / clusters;
+        slice.dramGBs = cfg.dramGBs / clusters;
+    }
+    return slice;
+}
+
 WorkloadResult
 scheduleWorkload(const graph::Workload &w, const hw::HwConfig &cfg,
                  const SchedOptions &opt)
 {
     hw::validateConfig(cfg);
-    // CROPHE-p slices the PE array into data-parallel clusters; each
-    // cluster is scheduled like a smaller chip (intermediates use a
-    // proportional buffer share — the aux residency is chip-wide).
-    hw::HwConfig cluster_cfg = cfg;
-    if (opt.clusters > 1) {
-        cluster_cfg.numPes = std::max<u32>(1, cfg.numPes / opt.clusters);
-        cluster_cfg.meshY = std::max<u32>(1, cfg.meshY / opt.clusters);
-        cluster_cfg.sramGBs = cfg.sramGBs / opt.clusters;
-        cluster_cfg.dramGBs = cfg.dramGBs / opt.clusters;
-    }
+    const hw::HwConfig cluster_cfg = clusterConfig(cfg, opt.clusters);
 
     // Segments are independent graphs; schedule them concurrently into
     // per-segment slots (disjoint writes, index-order aggregation below).

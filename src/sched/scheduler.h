@@ -31,6 +31,14 @@ Schedule scheduleGraph(const graph::Graph &g, const hw::HwConfig &cfg,
                        const SchedOptions &opt);
 
 /**
+ * The chip slice one CROPHE-p cluster is scheduled on: PEs, mesh rows,
+ * buffer and DRAM bandwidth divided @p clusters ways (intermediates use
+ * a proportional buffer share; the aux residency is chip-wide). @p cfg
+ * itself when clusters <= 1.
+ */
+hw::HwConfig clusterConfig(const hw::HwConfig &cfg, u32 clusters);
+
+/**
  * Schedule a full workload: each unique segment once (redundancy
  * merging), then aggregate over repetitions. With opt.clusters > 1 the
  * segments are scheduled on a cluster-sized slice of the chip and run

@@ -1,7 +1,6 @@
 #include "serve/admission.h"
 
 #include <algorithm>
-#include <string>
 
 namespace crophe::serve {
 
@@ -15,16 +14,6 @@ rejectReasonName(RejectReason reason)
         return "overload";
     }
     return "?";
-}
-
-AdmissionRejected::AdmissionRejected(RejectReason r, const Request &req)
-    : RecoverableError("request " + std::to_string(req.id) + " (tenant " +
-                       std::to_string(req.tenant) + ") rejected: " +
-                       rejectReasonName(r)),
-      reason(r),
-      requestId(req.id),
-      tenant(req.tenant)
-{
 }
 
 void
@@ -104,16 +93,6 @@ AdmissionController::decide(const Request &req, double now,
         return RejectReason::Overload;
     bucket.take();
     return std::nullopt;
-}
-
-void
-AdmissionController::admitOrThrow(const Request &req, double now,
-                                  double projectedWaitSeconds,
-                                  std::size_t queueDepth)
-{
-    auto reject = decide(req, now, projectedWaitSeconds, queueDepth);
-    if (reject.has_value())
-        throw AdmissionRejected(*reject, req);
 }
 
 }  // namespace crophe::serve

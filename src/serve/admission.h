@@ -9,30 +9,16 @@
  * The decision order is contract-friendly: a tenant over its token
  * bucket is Throttled *without* consuming a token; a request the system
  * cannot serve within shedFactor × SLA is shed as Overload *before* the
- * tenant's token is spent. Rejections surface as the typed
- * AdmissionRejected (a RecoverableError), so an embedding harness can
- * catch per-request failures without tearing down the serving loop.
+ * tenant's token is spent.
  */
 
 #include <optional>
 #include <vector>
 
-#include "common/error.h"
 #include "serve/request.h"
 #include "serve/traffic.h"
 
 namespace crophe::serve {
-
-/** Typed rejection thrown by AdmissionController::admitOrThrow. */
-class AdmissionRejected : public RecoverableError
-{
-  public:
-    AdmissionRejected(RejectReason reason, const Request &req);
-
-    RejectReason reason;
-    u64 requestId;
-    u32 tenant;
-};
 
 /** Classic token bucket over virtual time. */
 struct TokenBucket
@@ -79,10 +65,6 @@ class AdmissionController
     std::optional<RejectReason> decide(const Request &req, double now,
                                        double projectedWaitSeconds,
                                        std::size_t queueDepth);
-
-    /** decide(), but rejections throw the typed AdmissionRejected. */
-    void admitOrThrow(const Request &req, double now,
-                      double projectedWaitSeconds, std::size_t queueDepth);
 
     /**
      * Degraded-mode scaling (DESIGN.md §14): after a capacity loss the

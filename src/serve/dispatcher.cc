@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
 
 #include "common/error.h"
 #include "common/logging.h"
@@ -141,328 +143,293 @@ Dispatcher::service(u32 templateIdx)
                       templateIdx);
 }
 
-ServeResult
-Dispatcher::run(const std::vector<Request> &arrivals,
-                double durationSeconds)
+namespace {
+
+/** What the run loop reacts to besides dispatching a batch. */
+enum class EventKind : u8
 {
-    constexpr double kInf = std::numeric_limits<double>::infinity();
-    ServeResult res;
-    res.durationSeconds = durationSeconds;
-    const u64 compiles0 = planCompiles_;
-    const u64 hits0 = planCacheHits_;
+    ChipFail,
+    LinkDegrade,
+    Replay,
+    Arrival,
+};
 
-    // Timed faults mutate the pod shape mid-run; start each such run
-    // from the configured shape with no stale prices. Healthy runs keep
-    // the service-model persistence contract across run() calls.
-    livePod_ = opt_.pod;
-    if (opt_.faultPlan.hasTimedFaults())
-        shapeCaches_.clear();
-    const fault::FaultInjector injector(opt_.faultPlan);
-    const auto &chipFailEvents = opt_.faultPlan.chipFails;
-    const auto &linkDegradeEvents = opt_.faultPlan.linkDegrades;
-    std::size_t fi = 0, li = 0;
+/**
+ * One pending event. Events fire in (time, kind, key) order: at equal
+ * times a chip loss goes before a link change, which goes before a
+ * replay wake-up, which goes before an arrival; then the fault's or
+ * arrival's index, or the replayed request's id, breaks the tie.
+ */
+struct Event
+{
+    double time;
+    EventKind kind;
+    u64 key;
+    Request req;  ///< what an Arrival or Replay carries
 
+    bool operator<(const Event &o) const
+    {
+        return std::tie(time, kind, key) < std::tie(o.time, o.kind, o.key);
+    }
+};
+
+/** A circuit-breaker input, applied at its own virtual time. */
+struct BreakerOutcome
+{
+    u32 tenant;
+    bool failure;
+};
+
+/** One dispatched copy of a batch and how it ended. */
+struct CopyFate
+{
+    bool success = false;
+    double end = 0.0;     ///< finish, or the kill time
+    double finish = 0.0;  ///< scheduled finish
+    bool killed = false;
+    bool cacheHit = false;
+};
+
+/** A completed request's lifetime (arrival -> finish) for the trace. */
+struct RequestSpan
+{
+    u32 tenant;
+    u64 id;
+    double ts;
+    double dur;
+    std::string name;
+    double slaMet;
+};
+
+RequestOutcome
+outcomeOf(const Request &r, Disposition disposition)
+{
+    RequestOutcome out;
+    out.id = r.id;
+    out.tenant = r.tenant;
+    out.templateIdx = r.templateIdx;
+    out.disposition = disposition;
+    out.arrival = r.arrival;
+    out.attempts = r.attempts;
+    return out;
+}
+
+std::vector<double>
+tenantWeights(const std::vector<TenantSpec> &tenants)
+{
     std::vector<double> weights;
-    weights.reserve(tenants_.size());
-    for (const auto &t : tenants_)
+    for (const auto &t : tenants)
         weights.push_back(t.weight);
-    RequestQueue queue(opt_.policy, weights);
-    AdmissionController admission(opt_.admission, tenants_);
-    CircuitBreaker breaker(opt_.recovery, tenants_.size());
+    return weights;
+}
 
-    telemetry::TraceRecorder *tr = opt_.trace;
+}  // namespace
+
+/** The state of one run() and a handler per event kind. */
+struct Dispatcher::Run
+{
+    Dispatcher &d;
+    const ServeOptions &opt;
+    const std::vector<Request> &arrivals;
+    const u64 compiles0;
+    const u64 hits0;
+    const fault::FaultInjector injector;
+    RequestQueue queue;
+    AdmissionController admission;
+    CircuitBreaker breaker;
+    telemetry::TraceRecorder *const tr;
+    ServeResult res;
+    double now = 0.0;     ///< virtual clock (monotone)
+    u64 dispatchSeq = 0;  ///< indexes the batch-fail oracle
+    /** One group of every alive chip, or two halves when hedging. The
+     *  larger half leads, so groups[0] is always the pricing reference. */
+    std::vector<Group> groups;
+    std::set<Event> events;
+    /** Arrival and Replay events pending; faults alone do not keep the
+     *  run going. */
+    u64 requestEvents = 0;
+    /** Chip failures fired so far: the next one decides, at dispatch,
+     *  whether a batch dies before it finishes. */
+    std::size_t chipFailsFired = 0;
+    /** Breaker outcomes take effect at the failure or completion time,
+     *  not at the dispatch that decided them: held by time (ties in
+     *  insertion order) and settled before each admission. */
+    std::multimap<double, BreakerOutcome> breakerOutcomes;
     std::vector<u32> groupTracks;
     std::vector<u32> tenantTracks;
-    if (tr != nullptr) {
-        tr->beginProcess("serve");
-        groupTracks.push_back(tr->track("accelerator"));
-        for (const auto &t : tenants_)
-            tenantTracks.push_back(tr->track("tenant:" + t.name));
-    }
-    auto groupTrack = [&](std::size_t i) -> u32 {
-        while (groupTracks.size() <= i)
-            groupTracks.push_back(tr->track(
-                "accelerator #" + std::to_string(groupTracks.size() + 1)));
-        return groupTracks[i];
-    };
-
-    // Request lifetime spans (arrival -> finish) overlap whenever
-    // requests queue, and Perfetto rejects partially overlapping slices
-    // on one track — buffer them and emit onto first-fit lanes at the
-    // end of the run.
-    struct RequestSpan
-    {
-        u32 tenant;
-        u64 id;
-        double ts;
-        double dur;
-        std::string name;
-        double slaMet;
-    };
+    /** Buffered because they overlap whenever requests queue; laid out
+     *  on first-fit lanes at the end of the run. */
     std::vector<RequestSpan> spans;
 
-    double now = 0.0;  // virtual clock (monotone)
-    std::size_t next = 0;
-    u64 dispatchSeq = 0;  // indexes the batch-fail oracle
-
-    // One group of every alive chip, or two halves when hedging. The
-    // larger half leads, so groups[0] is always the pricing reference.
-    auto buildGroups = [&](double freeAt) {
-        std::vector<Group> gs;
-        const u32 alive = livePod_.aliveChips();
-        if (opt_.recovery.hedge && alive >= 2) {
-            const u32 lead = (alive + 1) / 2;
-            gs.push_back({lead, freeAt});
-            gs.push_back({alive - lead, freeAt});
-        } else {
-            gs.push_back({alive, freeAt});
-        }
-        return gs;
-    };
-    std::vector<Group> groups = buildGroups(0.0);
-
-    // Failed requests wait out their backoff here, then re-enter the
-    // queue; ordered by (ready, id) so replay order is total.
-    struct PendingReplay
+    Run(Dispatcher &dispatcher, const std::vector<Request> &offered,
+        double durationSeconds)
+        : d(dispatcher),
+          opt(dispatcher.opt_),
+          arrivals(offered),
+          compiles0(dispatcher.planCompiles_),
+          hits0(dispatcher.planCacheHits_),
+          injector(opt.faultPlan),
+          queue(opt.policy, tenantWeights(dispatcher.tenants_)),
+          admission(opt.admission, dispatcher.tenants_),
+          breaker(opt.recovery, dispatcher.tenants_.size()),
+          tr(opt.trace),
+          groups(buildGroups(0.0))
     {
-        double ready;
-        Request req;
-    };
-    auto replayAfter = [](const PendingReplay &a, const PendingReplay &b) {
-        if (a.ready != b.ready)
-            return a.ready > b.ready;
-        return a.req.id > b.req.id;
-    };
-    std::priority_queue<PendingReplay, std::vector<PendingReplay>,
-                        decltype(replayAfter)>
-        replays(replayAfter);
+        res.durationSeconds = durationSeconds;
+        if (tr != nullptr) {
+            tr->beginProcess("serve");
+            groupTracks.push_back(tr->track("accelerator"));
+            for (const auto &t : d.tenants_)
+                tenantTracks.push_back(tr->track("tenant:" + t.name));
+        }
+        const fault::FaultPlan &plan = opt.faultPlan;
+        for (u64 i = 0; i < plan.chipFails.size(); ++i)
+            events.insert(
+                {plan.chipFails[i].seconds, EventKind::ChipFail, i, {}});
+        for (u64 i = 0; i < plan.linkDegrades.size(); ++i)
+            events.insert(
+                {plan.linkDegrades[i].seconds, EventKind::LinkDegrade, i, {}});
+        for (u64 i = 0; i < arrivals.size(); ++i)
+            pushRequestEvent(EventKind::Arrival, arrivals[i].arrival, i,
+                             arrivals[i]);
+    }
 
-    // Breaker transitions must happen at the *failure/completion* time,
-    // not at the dispatch that decided the batch's fate — buffer them
-    // and drain in (time, seq) order before every admission decision.
-    struct BreakerEvent
+    void pushRequestEvent(EventKind kind, double time, u64 key,
+                          const Request &r)
     {
-        double time;
-        u64 seq;
-        u32 tenant;
-        bool failure;
-    };
-    auto breakerAfter = [](const BreakerEvent &a, const BreakerEvent &b) {
-        if (a.time != b.time)
-            return a.time > b.time;
-        return a.seq > b.seq;
-    };
-    std::priority_queue<BreakerEvent, std::vector<BreakerEvent>,
-                        decltype(breakerAfter)>
-        breakerEvents(breakerAfter);
-    u64 breakerSeq = 0;
-    auto pushBreakerEvent = [&](double time, u32 tenant, bool failure) {
-        if (breaker.disabled())
-            return;
-        breakerEvents.push({time, breakerSeq++, tenant, failure});
-    };
-    auto drainBreaker = [&](double t) {
-        while (!breakerEvents.empty() && breakerEvents.top().time <= t) {
-            const BreakerEvent ev = breakerEvents.top();
-            breakerEvents.pop();
-            const u64 trips0 = breaker.trips();
-            if (ev.failure)
-                breaker.onFailure(ev.tenant, ev.time);
-            else
-                breaker.onSuccess(ev.tenant);
-            if (tr != nullptr && breaker.trips() > trips0)
-                tr->instant("breaker-open:" + tenants_[ev.tenant].name,
-                            ev.time * 1e6);
-        }
-    };
+        events.insert({time, kind, key, r});
+        ++requestEvents;
+    }
 
-    auto minFreeAt = [&]() {
-        double m = kInf;
-        for (const Group &g : groups)
-            m = std::min(m, g.freeAt);
-        return m;
-    };
-
-    auto admit = [&](const Request &r) {
-        now = std::max(now, r.arrival);
-        RequestOutcome out;
-        out.id = r.id;
-        out.tenant = r.tenant;
-        out.templateIdx = r.templateIdx;
-        out.arrival = r.arrival;
-        if (!breaker.disabled()) {
-            drainBreaker(now);
-            if (!breaker.tryAdmit(r.tenant, now)) {
-                out.disposition = Disposition::RejectedBreaker;
-                res.outcomes.push_back(out);
-                ++res.recovery.breakerRejected;
-                if (tr != nullptr)
-                    tr->instant("reject:" + tenants_[r.tenant].name +
-                                    ":breaker",
-                                r.arrival * 1e6);
-                return;
-            }
+    void fire()
+    {
+        const Event ev = *events.begin();
+        events.erase(events.begin());
+        now = std::max(now, ev.time);
+        switch (ev.kind) {
+        case EventKind::ChipFail:
+            return onChipFail(opt.faultPlan.chipFails[ev.key]);
+        case EventKind::LinkDegrade:
+            return onLinkDegrade(opt.faultPlan.linkDegrades[ev.key]);
+        case EventKind::Replay:
+            --requestEvents;
+            return onReplay(ev.req);
+        case EventKind::Arrival:
+            --requestEvents;
+            return onArrival(ev.req);
         }
-        const double residual = std::max(0.0, minFreeAt() - now);
+    }
+
+    void onArrival(const Request &r)
+    {
+        settleBreaker(now);
+        if (!breaker.tryAdmit(r.tenant, now)) {
+            ++res.recovery.breakerRejected;
+            return reject(r, Disposition::RejectedBreaker, "breaker");
+        }
+        const double residual =
+            std::max(0.0, groups[earliestFreeGroup()].freeAt - now);
         const double wait = residual + queue.backlogSeconds();
-        try {
-            admission.admitOrThrow(r, now, wait, queue.depth());
-        } catch (const AdmissionRejected &e) {
-            out.disposition = e.reason == RejectReason::Throttled
-                                  ? Disposition::RejectedThrottled
-                                  : Disposition::RejectedOverload;
-            res.outcomes.push_back(out);
-            if (tr != nullptr)
-                tr->instant("reject:" + tenants_[r.tenant].name + ":" +
-                                rejectReasonName(e.reason),
-                            r.arrival * 1e6);
-            return;
-        }
-        // The estimate prices queueing (WFQ tags, backlog shedding) at
-        // the steady-state rate of the lead group; compilation happens
-        // here on first use.
-        const ServiceTimes &st =
-            serviceFor(podForGroup(groups[0]), cacheFor(groups[0].chips),
-                       r.templateIdx);
-        queue.push(r, catalog_.templates[r.templateIdx].graphHash,
-                   st.warmSeconds, now);
-        if (tr != nullptr)
-            tr->counter("queue.depth", now * 1e6,
-                        static_cast<double>(queue.depth()));
-    };
+        if (auto why = admission.decide(r, now, wait, queue.depth()))
+            return reject(r,
+                          *why == RejectReason::Throttled
+                              ? Disposition::RejectedThrottled
+                              : Disposition::RejectedOverload,
+                          rejectReasonName(*why));
+        enqueue(r, leadService(r.templateIdx).warmSeconds);
+    }
 
-    auto recordExpired = [&](const Request &r, double t) {
-        RequestOutcome out;
-        out.id = r.id;
-        out.tenant = r.tenant;
-        out.templateIdx = r.templateIdx;
-        out.disposition = Disposition::Expired;
-        out.arrival = r.arrival;
-        out.finish = t;
-        out.attempts = r.attempts;
-        res.outcomes.push_back(out);
-        ++res.recovery.expired;
-        if (tr != nullptr)
-            tr->instant("expire:" + tenants_[r.tenant].name, t * 1e6);
-    };
-
-    auto scheduleRetry = [&](const Request &r, double failTime) {
-        Request rr = r;
-        rr.attempts += 1;
-        if (rr.attempts > opt_.recovery.maxRetries) {
-            recordExpired(rr, failTime);
-            return;
-        }
-        replays.push(
-            {failTime + retryBackoff(opt_.recovery, rr.attempts), rr});
-    };
-
-    auto processReplay = [&]() {
-        const PendingReplay p = replays.top();
-        replays.pop();
-        now = std::max(now, p.ready);
-        const ServiceTimes &st =
-            serviceFor(podForGroup(groups[0]), cacheFor(groups[0].chips),
-                       p.req.templateIdx);
+    void onReplay(const Request &r)
+    {
+        const ServiceTimes &st = leadService(r.templateIdx);
         // Deadline propagation: a retry whose best case (a warm pass
         // starting immediately) already misses the SLA expires here
         // instead of loading the queue with unservable work.
-        if (now + st.warmSeconds > p.req.deadline) {
-            recordExpired(p.req, now);
-            return;
-        }
-        queue.push(p.req, catalog_.templates[p.req.templateIdx].graphHash,
-                   st.warmSeconds, now);
+        if (now + st.warmSeconds > r.deadline)
+            return expire(r, now);
         ++res.recovery.replays;
-        if (tr != nullptr) {
-            tr->instant("replay:" + tenants_[p.req.tenant].name,
-                        now * 1e6);
-            tr->counter("queue.depth", now * 1e6,
-                        static_cast<double>(queue.depth()));
-        }
-    };
+        if (tr != nullptr)
+            tr->instant("replay:" + tenantName(r), now * 1e6);
+        enqueue(r, st.warmSeconds);
+    }
 
-    auto nextFaultTime = [&]() {
-        double t = kInf;
-        if (fi < chipFailEvents.size())
-            t = chipFailEvents[fi].seconds;
-        if (li < linkDegradeEvents.size())
-            t = std::min(t, linkDegradeEvents[li].seconds);
-        return t;
-    };
-
-    auto applyNextFault = [&]() {
-        const bool chipFirst =
-            fi < chipFailEvents.size() &&
-            (li >= linkDegradeEvents.size() ||
-             chipFailEvents[fi].seconds <= linkDegradeEvents[li].seconds);
-        if (chipFirst) {
-            const fault::ChipFailEvent ev = chipFailEvents[fi++];
-            now = std::max(now, ev.seconds);
-            livePod_.deadChips += ev.chips;
-            CROPHE_ASSERT(livePod_.deadChips < livePod_.chips,
-                          "timed chip failures validated at construction");
-            // Repartition: every group's resident state (and any batch
-            // in flight — accounted at its dispatch) is gone; the
-            // survivors come back after the modeled downtime with cold
-            // aux and re-priced plans under the new pod digest.
-            shapeCaches_.clear();
-            groups =
-                buildGroups(ev.seconds + opt_.recovery.repartitionSeconds);
-            admission.setCapacityFraction(
-                static_cast<double>(livePod_.aliveChips()) /
-                    static_cast<double>(livePod_.chips),
-                ev.seconds);
-            ++res.recovery.repartitions;
-            res.recovery.downtimeSeconds += opt_.recovery.repartitionSeconds;
-            if (tr != nullptr) {
-                tr->instant("chip-fail:" + std::to_string(ev.chips),
-                            ev.seconds * 1e6);
-                tr->instant("repartition:" +
-                                std::to_string(livePod_.aliveChips()) +
-                                "-alive",
-                            ev.seconds * 1e6);
-            }
-        } else {
-            const fault::LinkDegradeEvent ev = linkDegradeEvents[li++];
-            now = std::max(now, ev.seconds);
-            livePod_.linkFraction = ev.fraction;
-            // Transfers reprice under the degraded links; resident aux
-            // survives (nothing on-chip was lost), so groups keep their
-            // batch keys and immediate availability.
-            shapeCaches_.clear();
-            if (tr != nullptr)
-                tr->instant("link-degrade", ev.seconds * 1e6);
-        }
-    };
-
-    // Is the batch ending at @p finish killed by a chip loss first?
-    // Chip-fail times are static, so a batch's fate is known at its
-    // dispatch: any pending event strictly before finish kills it.
-    auto chipFailBefore = [&](double finish) {
-        if (fi < chipFailEvents.size() &&
-            chipFailEvents[fi].seconds < finish)
-            return chipFailEvents[fi].seconds;
-        return kInf;
-    };
-
-    // One dispatched copy of a batch and how it ended.
-    struct CopyFate
+    void onChipFail(const fault::ChipFailEvent &ev)
     {
-        bool success = false;
-        double end = 0.0;      ///< finish, or the kill time
-        double finish = 0.0;   ///< scheduled finish
-        bool killed = false;
-        bool cacheHit = false;
-    };
+        ++chipFailsFired;
+        pod::PodConfig &pod = d.livePod_;
+        pod.deadChips += ev.chips;
+        CROPHE_ASSERT(pod.deadChips < pod.chips,
+                      "timed chip failures validated at construction");
+        // Repartition: every group's resident state (and any batch in
+        // flight, accounted at its dispatch) is gone; the survivors come
+        // back after the modeled downtime with cold aux and re-priced
+        // plans under the new pod digest.
+        d.shapeCaches_.clear();
+        groups = buildGroups(ev.seconds + opt.recovery.repartitionSeconds);
+        admission.setCapacityFraction(
+            static_cast<double>(pod.aliveChips()) /
+                static_cast<double>(pod.chips),
+            ev.seconds);
+        ++res.recovery.repartitions;
+        res.recovery.downtimeSeconds += opt.recovery.repartitionSeconds;
+        if (tr != nullptr) {
+            tr->instant("chip-fail:" + std::to_string(ev.chips),
+                        ev.seconds * 1e6);
+            tr->instant("repartition:" + std::to_string(pod.aliveChips()) +
+                            "-alive",
+                        ev.seconds * 1e6);
+        }
+    }
 
-    auto dispatchCopy = [&](std::size_t gi, double start,
-                            const std::vector<Request> &batch,
-                            u32 tidx) -> CopyFate {
+    void onLinkDegrade(const fault::LinkDegradeEvent &ev)
+    {
+        d.livePod_.linkFraction = ev.fraction;
+        // Transfers reprice under the degraded links; resident aux
+        // survives (nothing on-chip was lost), so groups keep their
+        // batch keys and immediate availability.
+        d.shapeCaches_.clear();
+        if (tr != nullptr)
+            tr->instant("link-degrade", ev.seconds * 1e6);
+    }
+
+    void dispatch(std::size_t gi, double t)
+    {
+        const auto batch = queue.popBatch(opt.maxBatch);
+        const u32 tidx = batch.front().templateIdx;
+        const RequestTemplate &tmpl = d.catalog_.templates[tidx];
+        now = std::max(now, t);
+        ++res.batches;
+        res.batchedRequests += batch.size();
+        const CopyFate primary = dispatchCopy(gi, t, batch, tidx);
+
+        // Hedge a tail batch (one carrying a replay) onto the other
+        // group when it is idle: the earliest successful copy wins.
+        std::optional<CopyFate> hedge;
+        if (opt.recovery.hedge && groups.size() >= 2) {
+            const std::size_t hi = gi == 0 ? 1 : 0;
+            const bool tail =
+                std::any_of(batch.begin(), batch.end(),
+                            [](const Request &r) { return r.attempts > 0; });
+            if (tail && groups[hi].freeAt <= t) {
+                hedge = dispatchCopy(hi, t, batch, tidx);
+                ++res.recovery.hedgedBatches;
+                if (tr != nullptr)
+                    tr->instant("hedge:" + tmpl.name, t * 1e6);
+            }
+        }
+        resolve(batch, t, primary, hedge, tmpl.name);
+        if (tr != nullptr)
+            tr->counter("queue.depth", primary.finish * 1e6,
+                        static_cast<double>(queue.depth()));
+    }
+
+    CopyFate dispatchCopy(std::size_t gi, double start,
+                          const std::vector<Request> &batch, u32 tidx)
+    {
         Group &g = groups[gi];
-        const RequestTemplate &tmpl = catalog_.templates[tidx];
-        ShapeCache &cache = cacheFor(g.chips);
-        const ServiceTimes &st = serviceFor(podForGroup(g), cache, tidx);
+        const RequestTemplate &tmpl = d.catalog_.templates[tidx];
+        ShapeCache &cache = d.cacheFor(g.chips);
+        const ServiceTimes &st = d.serviceFor(d.podForGroup(g), cache, tidx);
         const double plan = cache.planCharge[tidx];
         cache.planCharge[tidx] = 0.0;
         // Back-to-back batches of the same template keep aux resident.
@@ -470,8 +437,7 @@ Dispatcher::run(const std::vector<Request> &arrivals,
             g.haveLastKey && g.lastBatchKey == tmpl.graphHash;
         const double first = auxResident ? st.warmSeconds : st.coldSeconds;
         const double compute =
-            first +
-            static_cast<double>(batch.size() - 1) * st.warmSeconds;
+            first + static_cast<double>(batch.size() - 1) * st.warmSeconds;
         const double finish = start + plan + compute;
         g.freeAt = finish;
         g.lastBatchKey = tmpl.graphHash;
@@ -479,22 +445,24 @@ Dispatcher::run(const std::vector<Request> &arrivals,
 
         CopyFate fate;
         fate.finish = finish;
+        fate.end = finish;
         fate.cacheHit = st.planCacheHit;
-        const double killT = chipFailBefore(finish);
+        // Chip-fail times are static, so a batch's fate is known at its
+        // dispatch: the next unfired chip loss before finish kills it.
+        const auto &chipFails = opt.faultPlan.chipFails;
         const bool failed = injector.batchFailed(dispatchSeq++);
-        if (killT < finish) {
+        if (chipFailsFired < chipFails.size() &&
+            chipFails[chipFailsFired].seconds < finish) {
             fate.killed = true;
-            fate.end = killT;
+            fate.end = chipFails[chipFailsFired].seconds;
             ++res.recovery.lostBatches;
             res.recovery.lostRequests += batch.size();
             if (tr != nullptr)
-                tr->instant("batch-lost", killT * 1e6);
+                tr->instant("batch-lost", fate.end * 1e6);
         } else if (failed) {
-            fate.end = finish;
             ++res.recovery.batchFailures;
         } else {
             fate.success = true;
-            fate.end = finish;
         }
         // Occupancy until the copy ends (plan time is not compute).
         res.busySeconds +=
@@ -516,146 +484,121 @@ Dispatcher::run(const std::vector<Request> &arrivals,
                          (fate.end - start) * 1e6, args);
         }
         return fate;
-    };
+    }
 
-    auto dispatch = [&](std::size_t gi, double t) {
-        auto batch = queue.popBatch(opt_.maxBatch);
-        const u32 tidx = batch.front().templateIdx;
-        const RequestTemplate &tmpl = catalog_.templates[tidx];
-        now = std::max(now, t);
-
-        ++res.batches;
-        res.batchedRequests += batch.size();
-        const CopyFate primary = dispatchCopy(gi, t, batch, tidx);
-
-        // Hedge a tail batch (one carrying a replay) onto the other
-        // group when it is idle: the earliest successful copy wins.
-        std::optional<CopyFate> hedge;
-        if (opt_.recovery.hedge && groups.size() >= 2) {
-            const std::size_t hi = gi == 0 ? 1 : 0;
-            const bool tail =
-                std::any_of(batch.begin(), batch.end(),
-                            [](const Request &r) { return r.attempts > 0; });
-            if (tail && groups[hi].freeAt <= t) {
-                hedge = dispatchCopy(hi, t, batch, tidx);
-                ++res.recovery.hedgedBatches;
-                if (tr != nullptr)
-                    tr->instant("hedge:" + tmpl.name, t * 1e6);
-            }
-        }
-
-        // Resolve: the earliest success completes the requests (ties
-        // favor the primary); with no success anywhere the requests
-        // fail once the last copy has died.
+    void resolve(const std::vector<Request> &batch, double start,
+                 const CopyFate &primary,
+                 const std::optional<CopyFate> &hedge,
+                 const std::string &name)
+    {
+        // The earliest success completes the requests (ties favor the
+        // primary); with no success anywhere the requests fail once the
+        // last copy has died.
         const bool hedgeWins =
             hedge.has_value() && hedge->success &&
             (!primary.success || hedge->end < primary.end);
-        const CopyFate *winner = nullptr;
-        if (primary.success)
-            winner = &primary;
-        if (hedgeWins)
-            winner = &*hedge;
-        if (winner != nullptr) {
-            if (hedgeWins)
-                ++res.recovery.hedgeWins;
-            const double finish = winner->end;
-            for (const Request &r : batch) {
-                RequestOutcome out;
-                out.id = r.id;
-                out.tenant = r.tenant;
-                out.templateIdx = r.templateIdx;
-                out.disposition = Disposition::Completed;
-                out.arrival = r.arrival;
-                out.start = t;
-                out.finish = finish;
-                out.slaMet = finish <= r.deadline;
-                out.planCacheHit = winner->cacheHit;
-                out.batchSize = static_cast<u32>(batch.size());
-                out.attempts = r.attempts;
-                out.hedged = hedge.has_value();
-                res.outcomes.push_back(out);
-                pushBreakerEvent(finish, r.tenant, /*failure=*/false);
-                if (tr != nullptr)
-                    spans.push_back({r.tenant, r.id, r.arrival * 1e6,
-                                     (finish - r.arrival) * 1e6, tmpl.name,
-                                     out.slaMet ? 1.0 : 0.0});
-            }
-        } else {
+        const CopyFate *winner =
+            hedgeWins ? &*hedge : (primary.success ? &primary : nullptr);
+        if (winner == nullptr) {
             const double failTime =
                 hedge.has_value() ? std::max(primary.end, hedge->end)
                                   : primary.end;
             for (const Request &r : batch) {
-                scheduleRetry(r, failTime);
-                pushBreakerEvent(failTime, r.tenant, /*failure=*/true);
+                retry(r, failTime);
+                breakerOutcomes.emplace(failTime,
+                                        BreakerOutcome{r.tenant, true});
             }
+            return;
         }
-        if (tr != nullptr)
-            tr->counter("queue.depth", primary.finish * 1e6,
-                        static_cast<double>(queue.depth()));
-    };
-
-    while (next < arrivals.size() || !queue.empty() || !replays.empty()) {
-        if (opt_.cancelled && opt_.cancelled()) {
-            res.truncated = true;
-            break;
-        }
-        const double tArr =
-            next < arrivals.size() ? arrivals[next].arrival : kInf;
-        const double tRep = replays.empty() ? kInf : replays.top().ready;
-        const double tFault = nextFaultTime();
-
-        if (!queue.empty()) {
-            // The earliest-free group dispatches; everything happening
-            // by then (faults, replay wake-ups, arrivals) goes first so
-            // it competes for — or invalidates — the batch.
-            std::size_t gi = 0;
-            for (std::size_t i = 1; i < groups.size(); ++i)
-                if (groups[i].freeAt < groups[gi].freeAt)
-                    gi = i;
-            const double tDisp = std::max(now, groups[gi].freeAt);
-            if (tFault <= tDisp) {
-                applyNextFault();
-            } else if (tRep <= tDisp) {
-                processReplay();
-            } else if (tArr <= tDisp) {
-                admit(arrivals[next++]);
-            } else {
-                dispatch(gi, tDisp);
-            }
-            continue;
-        }
-
-        // Queue empty: advance to the next event (faults outrank replay
-        // wake-ups outrank arrivals at equal times).
-        if (tFault <= tRep && tFault <= tArr) {
-            applyNextFault();
-        } else if (tRep <= tArr) {
-            processReplay();
-        } else if (tArr < kInf) {
-            admit(arrivals[next++]);
-        } else {
-            break;  // only unfired future faults remain
+        if (hedgeWins)
+            ++res.recovery.hedgeWins;
+        const double finish = winner->end;
+        for (const Request &r : batch) {
+            RequestOutcome out = outcomeOf(r, Disposition::Completed);
+            out.start = start;
+            out.finish = finish;
+            out.slaMet = finish <= r.deadline;
+            out.planCacheHit = winner->cacheHit;
+            out.batchSize = static_cast<u32>(batch.size());
+            out.hedged = hedge.has_value();
+            res.outcomes.push_back(out);
+            breakerOutcomes.emplace(finish, BreakerOutcome{r.tenant, false});
+            if (tr != nullptr)
+                spans.push_back({r.tenant, r.id, r.arrival * 1e6,
+                                 (finish - r.arrival) * 1e6, name,
+                                 out.slaMet ? 1.0 : 0.0});
         }
     }
-    drainBreaker(kInf);
-    res.recovery.breakerTrips = breaker.trips();
-    res.recovery.breakerHalfOpens = breaker.halfOpens();
 
-    if (tr != nullptr && !spans.empty()) {
+    void retry(Request r, double failTime)
+    {
+        r.attempts += 1;
+        if (r.attempts > opt.recovery.maxRetries)
+            return expire(r, failTime);
+        pushRequestEvent(EventKind::Replay,
+                         failTime + retryBackoff(opt.recovery, r.attempts),
+                         r.id, r);
+    }
+
+    void expire(const Request &r, double t)
+    {
+        RequestOutcome out = outcomeOf(r, Disposition::Expired);
+        out.finish = t;
+        res.outcomes.push_back(out);
+        ++res.recovery.expired;
+        if (tr != nullptr)
+            tr->instant("expire:" + tenantName(r), t * 1e6);
+    }
+
+    void reject(const Request &r, Disposition disposition, const char *why)
+    {
+        res.outcomes.push_back(outcomeOf(r, disposition));
+        if (tr != nullptr)
+            tr->instant("reject:" + tenantName(r) + ":" + why,
+                        r.arrival * 1e6);
+    }
+
+    void enqueue(const Request &r, double warmSeconds)
+    {
+        queue.push(r, d.catalog_.templates[r.templateIdx].graphHash,
+                   warmSeconds, now);
+        if (tr != nullptr)
+            tr->counter("queue.depth", now * 1e6,
+                        static_cast<double>(queue.depth()));
+    }
+
+    void settleBreaker(double t)
+    {
+        while (!breakerOutcomes.empty() &&
+               breakerOutcomes.begin()->first <= t) {
+            const auto [time, outcome] = *breakerOutcomes.begin();
+            breakerOutcomes.erase(breakerOutcomes.begin());
+            const u64 trips0 = breaker.trips();
+            if (outcome.failure)
+                breaker.onFailure(outcome.tenant, time);
+            else
+                breaker.onSuccess(outcome.tenant);
+            if (tr != nullptr && breaker.trips() > trips0)
+                tr->instant("breaker-open:" +
+                                d.tenants_[outcome.tenant].name,
+                            time * 1e6);
+        }
+    }
+
+    void layOutRequestSpans()
+    {
+        // Perfetto rejects partially overlapping slices on one track,
+        // so each tenant gets first-fit lanes: lane 0 is the pre-created
+        // "tenant:<name>" track, overflow lanes get " #k" suffixes.
         std::sort(spans.begin(), spans.end(),
                   [](const RequestSpan &a, const RequestSpan &b) {
-                      if (a.ts != b.ts)
-                          return a.ts < b.ts;
-                      return a.id < b.id;
+                      return std::tie(a.ts, a.id) < std::tie(b.ts, b.id);
                   });
-        // First-fit lanes per tenant: lane 0 is the pre-created
-        // "tenant:<name>" track, overflow lanes get " #k" suffixes.
-        std::vector<std::vector<double>> laneEnd(tenants_.size());
-        std::vector<std::vector<u32>> laneTrack(tenants_.size());
-        for (u32 ti = 0; ti < tenants_.size(); ++ti) {
-            laneEnd[ti].push_back(0.0);
-            laneTrack[ti].push_back(tenantTracks[ti]);
-        }
+        std::vector<std::vector<double>> laneEnd(tenantTracks.size(),
+                                                 {0.0});
+        std::vector<std::vector<u32>> laneTrack;
+        for (u32 track : tenantTracks)
+            laneTrack.push_back({track});
         for (const RequestSpan &s : spans) {
             auto &ends = laneEnd[s.tenant];
             auto &tracks = laneTrack[s.tenant];
@@ -664,9 +607,9 @@ Dispatcher::run(const std::vector<Request> &arrivals,
                 ++lane;
             if (lane == ends.size()) {
                 ends.push_back(0.0);
-                tracks.push_back(
-                    tr->track("tenant:" + tenants_[s.tenant].name + " #" +
-                              std::to_string(lane + 1)));
+                tracks.push_back(tr->track("tenant:" +
+                                           d.tenants_[s.tenant].name +
+                                           " #" + std::to_string(lane + 1)));
             }
             ends[lane] = s.ts + s.dur;
             tr->complete(tracks[lane], s.name, s.ts, s.dur,
@@ -675,20 +618,100 @@ Dispatcher::run(const std::vector<Request> &arrivals,
         }
     }
 
-    res.horizonSeconds = std::max(res.horizonSeconds, durationSeconds);
-    std::sort(res.outcomes.begin(), res.outcomes.end(),
-              [](const RequestOutcome &a, const RequestOutcome &b) {
-                  return a.id < b.id;
-              });
-    res.planCompiles = planCompiles_ - compiles0;
-    res.planCacheHits = planCacheHits_ - hits0;
-    // Conservation (DESIGN.md §14): every offered request reached
-    // exactly one terminal state — nothing was silently dropped.
-    CROPHE_ASSERT(res.truncated ||
-                      res.outcomes.size() == arrivals.size(),
-                  "request conservation violated: ", arrivals.size(),
-                  " offered vs ", res.outcomes.size(), " terminal");
-    return res;
+    ServeResult finish()
+    {
+        settleBreaker(std::numeric_limits<double>::infinity());
+        res.recovery.breakerTrips = breaker.trips();
+        res.recovery.breakerHalfOpens = breaker.halfOpens();
+        if (tr != nullptr)
+            layOutRequestSpans();
+        res.horizonSeconds =
+            std::max(res.horizonSeconds, res.durationSeconds);
+        std::sort(res.outcomes.begin(), res.outcomes.end(),
+                  [](const RequestOutcome &a, const RequestOutcome &b) {
+                      return a.id < b.id;
+                  });
+        res.planCompiles = d.planCompiles_ - compiles0;
+        res.planCacheHits = d.planCacheHits_ - hits0;
+        // Conservation (DESIGN.md §14): every offered request reached
+        // exactly one terminal state — nothing was silently dropped.
+        CROPHE_ASSERT(res.truncated ||
+                          res.outcomes.size() == arrivals.size(),
+                      "request conservation violated: ", arrivals.size(),
+                      " offered vs ", res.outcomes.size(), " terminal");
+        return std::move(res);
+    }
+
+    std::vector<Group> buildGroups(double freeAt) const
+    {
+        const u32 alive = d.livePod_.aliveChips();
+        if (!opt.recovery.hedge || alive < 2)
+            return {{alive, freeAt}};
+        const u32 lead = (alive + 1) / 2;
+        return {{lead, freeAt}, {alive - lead, freeAt}};
+    }
+
+    std::size_t earliestFreeGroup() const
+    {
+        std::size_t gi = 0;
+        for (std::size_t i = 1; i < groups.size(); ++i)
+            if (groups[i].freeAt < groups[gi].freeAt)
+                gi = i;
+        return gi;
+    }
+
+    /** Queueing (WFQ tags, backlog shedding) is priced at the lead
+     *  group's steady-state rate; compilation happens on first use. */
+    const ServiceTimes &leadService(u32 templateIdx)
+    {
+        return d.serviceFor(d.podForGroup(groups[0]),
+                            d.cacheFor(groups[0].chips), templateIdx);
+    }
+
+    u32 groupTrack(std::size_t i)
+    {
+        while (groupTracks.size() <= i)
+            groupTracks.push_back(tr->track(
+                "accelerator #" + std::to_string(groupTracks.size() + 1)));
+        return groupTracks[i];
+    }
+
+    const std::string &tenantName(const Request &r) const
+    {
+        return d.tenants_[r.tenant].name;
+    }
+};
+
+ServeResult
+Dispatcher::run(const std::vector<Request> &arrivals,
+                double durationSeconds)
+{
+    // Timed faults mutate the pod shape mid-run; start each such run
+    // from the configured shape with no stale prices. Healthy runs keep
+    // the service-model persistence contract across run() calls.
+    livePod_ = opt_.pod;
+    if (opt_.faultPlan.hasTimedFaults())
+        shapeCaches_.clear();
+    Run r(*this, arrivals, durationSeconds);
+
+    // The earliest-free group dispatches once no event is due by its
+    // start; until then the next event fires, so every event is handled
+    // at its own virtual time and competes for (or invalidates) the
+    // batch. Faults after the last request event never fire.
+    while (!r.queue.empty() || r.requestEvents > 0) {
+        if (opt_.cancelled && opt_.cancelled()) {
+            r.res.truncated = true;
+            break;
+        }
+        const std::size_t gi = r.earliestFreeGroup();
+        const double start = std::max(r.now, r.groups[gi].freeAt);
+        if (!r.queue.empty() &&
+            (r.events.empty() || r.events.begin()->time > start))
+            r.dispatch(gi, start);
+        else
+            r.fire();
+    }
+    return r.finish();
 }
 
 }  // namespace crophe::serve

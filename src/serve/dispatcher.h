@@ -173,6 +173,9 @@ class Dispatcher
         std::vector<double> planCharge;
     };
 
+    /** One run()'s state and event handlers (dispatcher.cc). */
+    struct Run;
+
     const ServiceTimes &serviceFor(const pod::PodConfig &groupPod,
                                    ShapeCache &cache, u32 templateIdx);
     pod::PodConfig podForGroup(const Group &g) const;

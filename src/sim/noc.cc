@@ -24,11 +24,10 @@ NocModel::NocModel(const hw::HwConfig &cfg)
 }
 
 SimTime
-NocModel::transfer(SimTime ready, u64 words, u32 hops, u32 fanout)
+NocModel::transfer(SimTime ready, u64 words, u32 hops)
 {
     if (words == 0)
         return ready;
-    (void)fanout;  // router replication: the source injects once
     totalWords_ += words;
     if (faults_ != nullptr) {
         // Local draw counter: reroute decisions depend only on

@@ -25,12 +25,8 @@ class NocModel
   public:
     explicit NocModel(const hw::HwConfig &cfg);
 
-    /**
-     * Transfer @p words over @p hops mesh hops starting at @p ready;
-     * multicast transfers (fanout > 1) send the data once and replicate
-     * at the routers, paying only the longest path.
-     */
-    SimTime transfer(SimTime ready, u64 words, u32 hops, u32 fanout = 1);
+    /** Transfer @p words over @p hops mesh hops starting at @p ready. */
+    SimTime transfer(SimTime ready, u64 words, u32 hops);
 
     /** Record link-occupancy spans on a "NoC" trace track. */
     void attachTrace(telemetry::TraceRecorder *rec);

@@ -289,13 +289,7 @@ simulateWorkload(const graph::Workload &w, const hw::HwConfig &cfg,
                  const fault::FaultInjector *faults)
 {
     hw::validateConfig(cfg);
-    hw::HwConfig cluster_cfg = cfg;
-    if (opt.clusters > 1) {
-        cluster_cfg.numPes = std::max<u32>(1, cfg.numPes / opt.clusters);
-        cluster_cfg.meshY = std::max<u32>(1, cfg.meshY / opt.clusters);
-        cluster_cfg.sramGBs = cfg.sramGBs / opt.clusters;
-        cluster_cfg.dramGBs = cfg.dramGBs / opt.clusters;
-    }
+    const hw::HwConfig cluster_cfg = sched::clusterConfig(cfg, opt.clusters);
 
     std::vector<sched::Schedule> schedules;
     schedules.reserve(w.segments.size());

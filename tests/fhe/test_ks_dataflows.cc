@@ -1,10 +1,10 @@
 /**
  * @file
- * Differential tests for the CiFlow key-switch dataflows and the
- * triple-hoisted BSGS strategy (DESIGN.md §15): every dataflow must be
- * bit-identical to the unfused exact library path across levels, digit
- * counts, backends and thread counts; the hoisting primitives must
- * reproduce keySwitchFused and rotate() exactly; the triple-hoisted
+ * Differential tests for the key switch and the triple-hoisted BSGS
+ * strategy (DESIGN.md §15): the fused key switch must be bit-identical
+ * to the unfused exact library path across levels, digit counts,
+ * backends and thread counts; the hoisting primitives must reproduce
+ * keySwitch and rotate() exactly; the triple-hoisted
  * matvec must match a same-math oracle bit-for-bit and decrypt to the
  * reference within rounding noise. Suites carry the Kernel prefix so the
  * CI sanitizer job's gtest filter picks them up.
@@ -102,49 +102,9 @@ hashPoly(u64 h, const RnsPoly &p)
 }
 
 // ---------------------------------------------------------------------------
-// KeySwitchDataflow enum plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(KernelKsDataflow, NamesAreStable)
-{
-    EXPECT_STREQ(keySwitchDataflowName(KeySwitchDataflow::Fused), "fused");
-    EXPECT_STREQ(keySwitchDataflowName(KeySwitchDataflow::Unfused),
-                 "unfused");
-    EXPECT_STREQ(keySwitchDataflowName(KeySwitchDataflow::OutputStationary),
-                 "ostat");
-    EXPECT_STREQ(keySwitchDataflowName(KeySwitchDataflow::ReorderedModUp),
-                 "reordup");
-}
-
-TEST(KernelKsDataflow, DispatcherRoutesConfiguredDataflow)
-{
-    const FheContext &ctx = smallContext();
-    KeyGenerator keygen(ctx, 42);
-    KswKey rk = keygen.makeRotationKey(1);
-    Evaluator eval(ctx, 7);
-    EXPECT_EQ(eval.keySwitchDataflow(), KeySwitchDataflow::Fused);
-
-    Rng rng(9001);
-    const u32 level = ctx.maxLevel();
-    RnsPoly d = randomPoly(ctx, ctx.qBasis(level), rng);
-    auto [want_b, want_a] = eval.keySwitchFused(d, level, rk);
-
-    for (KeySwitchDataflow df :
-         {KeySwitchDataflow::Fused, KeySwitchDataflow::Unfused,
-          KeySwitchDataflow::OutputStationary,
-          KeySwitchDataflow::ReorderedModUp}) {
-        eval.setKeySwitchDataflow(df);
-        EXPECT_EQ(eval.keySwitchDataflow(), df);
-        auto [got_b, got_a] = eval.keySwitch(d, level, rk);
-        expectPolysEqual(got_b, want_b, keySwitchDataflowName(df));
-        expectPolysEqual(got_a, want_a, keySwitchDataflowName(df));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Every dataflow bit-identical to the unfused exact library path, across
-// levels (and with them digit counts β = 1…ceil((L+1)/α)), both digit
-// layouts (α = 2 and α = 1), every backend, and 1/2/8 threads.
+// The fused key switch bit-identical to the unfused exact library path,
+// across levels (and with them digit counts β = 1…ceil((L+1)/α)), both
+// digit layouts (α = 2 and α = 1), every backend, and 1/2/8 threads.
 // ---------------------------------------------------------------------------
 
 TEST(KernelKsDataflow, AllDataflowsBitIdenticalAcrossLevelsBackendsThreads)
@@ -170,16 +130,9 @@ TEST(KernelKsDataflow, AllDataflowsBitIdenticalAcrossLevelsBackendsThreads)
                 ThreadPool::setGlobalThreads(threads);
                 for (kernels::Backend b : availableBackends()) {
                     kernels::setBackend(b);
-                    auto [fb, fa] = eval.keySwitchFused(d, level, rk);
+                    auto [fb, fa] = eval.keySwitch(d, level, rk);
                     expectPolysEqual(fb, want_b, "fused");
                     expectPolysEqual(fa, want_a, "fused");
-                    auto [ob, oa] =
-                        eval.keySwitchOutputStationary(d, level, rk);
-                    expectPolysEqual(ob, want_b, "ostat");
-                    expectPolysEqual(oa, want_a, "ostat");
-                    auto [rb, ra] = eval.keySwitchReorderedModUp(d, level, rk);
-                    expectPolysEqual(rb, want_b, "reordup");
-                    expectPolysEqual(ra, want_a, "reordup");
                 }
             }
             ThreadPool::setGlobalThreads(0);
@@ -201,7 +154,7 @@ TEST(KernelHoisting, InnerProdPlusModDownMatchesKeySwitchFused)
 
     for (u32 level : {u32(1), ctx.maxLevel()}) {
         RnsPoly d = randomPoly(ctx, ctx.qBasis(level), rng);
-        auto [want_b, want_a] = eval.keySwitchFused(d, level, rk);
+        auto [want_b, want_a] = eval.keySwitch(d, level, rk);
 
         auto digits = eval.hoistedDecompModUp(d, level);
         ASSERT_EQ(digits.size(), ctx.digitCount(level));
@@ -568,8 +521,8 @@ TEST(KernelTripleHoistedBsgs, MatVecMatchesSameMathOracleBitForBit)
 
 // ---------------------------------------------------------------------------
 // Golden FNV limb-trace hashes: integer-domain flows only (no FP encode),
-// so the constants are stable across platforms. All key-switch dataflows
-// must land on the same hash; the hoisted rotate must land on rotate()'s.
+// so the constants are stable across platforms. The fused and unfused key
+// switches and the hoisted inner product must land on the same hash.
 // ---------------------------------------------------------------------------
 
 TEST(KernelKsDataflow, GoldenLimbTraceHashes)
@@ -592,11 +545,8 @@ TEST(KernelKsDataflow, GoldenLimbTraceHashes)
     };
 
     const u64 kGolden = 12148749097251079694ull;
-    EXPECT_EQ(hashPair(eval.keySwitchFused(d, level, rk)), kGolden);
+    EXPECT_EQ(hashPair(eval.keySwitch(d, level, rk)), kGolden);
     EXPECT_EQ(hashPair(eval.keySwitchUnfused(d, level, rk)), kGolden);
-    EXPECT_EQ(hashPair(eval.keySwitchOutputStationary(d, level, rk)),
-              kGolden);
-    EXPECT_EQ(hashPair(eval.keySwitchReorderedModUp(d, level, rk)), kGolden);
 
     auto digits = eval.hoistedDecompModUp(d, level);
     auto [ip_b, ip_a] = eval.hoistedInnerProd(digits, rk);

@@ -117,27 +117,5 @@ TEST(Admission, OverloadRejectionDoesNotSpendTheToken)
     EXPECT_EQ(*r2, RejectReason::Throttled);
 }
 
-TEST(Admission, AdmitOrThrowCarriesTypedContext)
-{
-    AdmissionOptions opt;
-    opt.shedFactor = 1.0;
-    AdmissionController ac(opt, {tenant(0.0, 1.0, 0.05), tenant(0.0, 1.0)});
-    EXPECT_NO_THROW(ac.admitOrThrow(request(3, 1, 0.2), 0.2, 0.0, 0));
-    try {
-        ac.admitOrThrow(request(7, 1, 0.5), 0.5, 10.0, 3);
-        FAIL() << "expected AdmissionRejected";
-    } catch (const AdmissionRejected &e) {
-        EXPECT_EQ(e.reason, RejectReason::Overload);
-        EXPECT_EQ(e.requestId, 7u);
-        EXPECT_EQ(e.tenant, 1u);
-        EXPECT_NE(std::string(e.what()).find("overload"),
-                  std::string::npos);
-    }
-    // The typed rejection is a RecoverableError, so harness boundaries
-    // that already catch RecoverableError keep working.
-    EXPECT_THROW(ac.admitOrThrow(request(8, 0, 0.5), 0.5, 10.0, 3),
-                 RecoverableError);
-}
-
 }  // namespace
 }  // namespace crophe::serve

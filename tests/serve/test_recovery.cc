@@ -281,6 +281,41 @@ TEST(Recovery, HedgedReplayDuplicatesOntoIdleGroup)
     EXPECT_EQ(res.recovery.hedgeWins, 0u);  // tie goes to the primary
 }
 
+TEST(Recovery, EventsFireInVirtualTimeOrderWhileABatchWaits)
+{
+    // 2 chips, chip-fail@0.08=1, shedding at 1 × a 0.2 s SLA:
+    //   r0 dispatches at 0 (cold, to 0.1); the fault kills it at 0.08
+    //     and its replay is ready at 0.09.
+    //   r1 (0.01) is admitted and waits for the busy group.
+    //   r2 (0.07) comes before the fault: projected wait 0.03 residual
+    //     + 0.05 backlog = 0.08 <= 0.2, so it is admitted. Handled after
+    //     the fault and the replay instead, it would face the halved
+    //     threshold (0.1) with r0 in the backlog and be shed.
+    //   The survivor returns at 0.13 and runs all three cold:
+    //     0.13 + 0.1 + 2 × 0.05 = 0.33.
+    auto cat = microCatalog();
+    auto tenants = oneTenant(0.2);
+    ServeOptions opt = stubOptions();
+    opt.pod.chips = 2;
+    opt.admission.shedFactor = 1.0;
+    opt.faultPlan = fault::FaultPlan::parse("chip-fail@0.08=1", 2);
+    Dispatcher d(hw::configCrophe64(), cat, tenants, opt);
+    auto res = d.run({request(0, 0.0, 0.2), request(1, 0.01, 0.2),
+                      request(2, 0.07, 0.2)},
+                     1.0);
+
+    ASSERT_EQ(res.outcomes.size(), 3u);
+    EXPECT_NE(res.outcomes[2].disposition, Disposition::RejectedOverload);
+    for (const RequestOutcome &out : res.outcomes) {
+        EXPECT_EQ(out.disposition, Disposition::Completed) << out.id;
+        EXPECT_DOUBLE_EQ(out.start, 0.13) << out.id;
+        EXPECT_DOUBLE_EQ(out.finish, 0.33) << out.id;
+        EXPECT_EQ(out.batchSize, 3u) << out.id;
+    }
+    EXPECT_EQ(res.recovery.lostBatches, 1u);
+    EXPECT_EQ(res.recovery.replays, 1u);
+}
+
 TEST(Recovery, BreakerTripsRejectsAndHalfOpens)
 {
     // Every batch fails, no retries (fail -> expire), threshold 2:

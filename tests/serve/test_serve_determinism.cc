@@ -181,6 +181,98 @@ TEST(ServeDeterminism, WarmCacheStrictlyImprovesTailLatency)
     EXPECT_LE(warm.horizonSeconds, cold.horizonSeconds);
 }
 
+u64
+fnv1a(const std::string &s)
+{
+    u64 h = 1469598103934665603ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+/** One healthy run (no plan cache) with hashes of its stats and trace. */
+struct PinnedRun
+{
+    ServeReport report;
+    u64 statsHash = 0;
+    u64 traceHash = 0;
+};
+
+PinnedRun
+pinnedRun(ServeOptions opt)
+{
+    auto cat = microCatalog();
+    auto tenants = twoTenants();
+    // Enough load to build a queue, and SLAs that differ per tenant, so
+    // fifo, edf and wfq each serve it in a different order.
+    for (TenantSpec &t : tenants)
+        t.rate *= 10.0;
+    tenants[1].slaSeconds = 300e-6;
+    auto arrivals = traffic(cat, tenants);
+
+    telemetry::TraceRecorder trace;
+    opt.maxBatch = 4;
+    opt.planSecondsPerOp = 1e-5;
+    opt.trace = &trace;
+    Dispatcher d(hw::configCrophe64(), cat, tenants, opt);
+    PinnedRun run;
+    run.report = buildReport(d.run(arrivals, 0.05), tenants);
+
+    telemetry::StatsRegistry reg;
+    registerReport(run.report, reg);
+    std::ostringstream stats, tr;
+    reg.dumpJson(stats);
+    trace.writeJson(tr);
+    run.statsHash = fnv1a(stats.str());
+    run.traceHash = fnv1a(tr.str());
+    return run;
+}
+
+TEST(ServeDeterminism, HealthyRunsMatchPinnedStatsAndTraceHashes)
+{
+    // Pins every byte of the stats and trace JSON of healthy runs, so a
+    // change to the dispatcher's event order, pricing or reporting shows
+    // up here even when the counts it asserts elsewhere do not move.
+    struct Case
+    {
+        const char *name;
+        Policy policy;
+        u32 chips;
+        double shedFactor;
+        u64 stats;
+        u64 trace;
+    };
+    const Case cases[] = {
+        {"edf", Policy::Edf, 1, 4.0,
+         0x349217a151711d67ull, 0x68e86efae7352d5full},
+        {"fifo", Policy::Fifo, 1, 4.0,
+         0xd5cec5c27a19c8a0ull, 0x34c666b9bb8e9a27ull},
+        {"wfq", Policy::Wfq, 1, 4.0,
+         0x93e4e822c739c8b4ull, 0x5a2c6b95978056dbull},
+        {"edf-2-chips", Policy::Edf, 2, 4.0,
+         0xd752d9790ba55edaull, 0x8bf774f883c87625ull},
+        {"edf-shed", Policy::Edf, 1, 1.0,
+         0x263b76d8f5252037ull, 0x4e2ba9a72d138dd3ull},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        ServeOptions opt;
+        opt.policy = c.policy;
+        opt.pod.chips = c.chips;
+        opt.admission.shedFactor = c.shedFactor;
+        const PinnedRun run = pinnedRun(opt);
+        EXPECT_EQ(run.statsHash, c.stats) << std::hex << run.statsHash;
+        EXPECT_EQ(run.traceHash, c.trace) << std::hex << run.traceHash;
+        // Tenant 0's bucket throttles in every case; the last one sheds.
+        EXPECT_GT(run.report.total.rejectedThrottled, 0u);
+        if (c.shedFactor == 1.0) {
+            EXPECT_GT(run.report.total.rejectedOverload, 0u);
+        }
+    }
+}
+
 TEST(ServeDeterminism, PoliciesShareArrivalsButReorderService)
 {
     // Same trace under fifo/edf/wfq: identical offered counts,

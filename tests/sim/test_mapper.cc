@@ -89,7 +89,6 @@ struct WalkedGroup
     std::vector<std::vector<u32>> peIds;  ///< per alloc (empty: transpose)
     std::vector<double> centroidX, centroidY;
     std::vector<u32> edgeHops;
-    double avgBufferHops = 0.0;
 };
 
 WalkedGroup
@@ -150,10 +149,6 @@ walkPlacement(const sched::SpatialGroup &group, const Graph &g,
             std::abs(w.centroidY[f] - w.centroidY[t])));
         w.edgeHops.push_back(std::max<u32>(1, hops));
     }
-    double buf = 0.0;
-    for (double x : w.centroidX)
-        buf += x + 1.0;
-    w.avgBufferHops = w.centroidX.empty() ? 1.0 : buf / w.centroidX.size();
     return w;
 }
 
@@ -242,7 +237,6 @@ TEST(Mapper, ClosedFormRunsMatchThePerPeWalkExactly)
         ASSERT_EQ(m.edges.size(), ref.edgeHops.size());
         for (u32 e = 0; e < m.edges.size(); ++e)
             EXPECT_EQ(m.edges[e].hops, ref.edgeHops[e]);
-        EXPECT_TRUE(m.avgBufferHops == ref.avgBufferHops);
     }
     // The seeded population really exercises the edge cases.
     EXPECT_GT(clamped_forward, 50u);

@@ -182,22 +182,6 @@ Graph::totalAuxWords() const
     return total;
 }
 
-std::vector<std::vector<OpId>>
-Graph::partition(u32 max_size) const
-{
-    CROPHE_ASSERT(max_size >= 1, "partition size must be positive");
-    auto order = topoOrder();
-    std::vector<std::vector<OpId>> parts;
-    for (std::size_t i = 0; i < order.size(); i += max_size) {
-        std::vector<OpId> part(
-            order.begin() + i,
-            order.begin() + std::min(order.size(),
-                                     i + static_cast<std::size_t>(max_size)));
-        parts.push_back(std::move(part));
-    }
-    return parts;
-}
-
 u64
 Graph::structuralHash(const std::vector<OpId> &nodes) const
 {

@@ -4,8 +4,8 @@
 /**
  * @file
  * The operator DAG, with the utilities the scheduler needs: topological
- * order, acyclic pre-partitioning, and structural hashing for merging
- * redundant subgraphs (Section V-D).
+ * orders and structural hashing for merging redundant subgraphs
+ * (Section V-D).
  */
 
 #include <algorithm>
@@ -115,12 +115,6 @@ class Graph
     /** Sum of distinct auxiliary volumes (each auxKey counted once;
      *  keyless aux counted per op). */
     u64 totalAuxWords() const;
-
-    /**
-     * Partition into acyclic chunks of at most @p max_size ops, following
-     * topological order (the pre-partitioning of Section V-D).
-     */
-    std::vector<std::vector<OpId>> partition(u32 max_size) const;
 
     /**
      * Structural hash of the subgraph induced by @p nodes: equal hashes ⇒

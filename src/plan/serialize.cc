@@ -399,9 +399,10 @@ scheduleBytes(const sched::Schedule &s)
     return w.take();
 }
 
-void
-serializeWorkloadResult(const sched::WorkloadResult &res, ByteWriter &w)
+std::vector<u8>
+workloadResultBytes(const sched::WorkloadResult &res)
 {
+    ByteWriter w;
     w.putU32(kPlanFormatVersion);
     w.putString(res.workload);
     w.putString(res.design);
@@ -415,39 +416,6 @@ serializeWorkloadResult(const sched::WorkloadResult &res, ByteWriter &w)
     }
     w.putString(res.rotScheme);
     w.putString(res.ksDataflow);
-}
-
-bool
-deserializeWorkloadResult(ByteReader &r, sched::WorkloadResult &out)
-{
-    u32 version;
-    if (!r.getU32(version) || version != kPlanFormatVersion)
-        return false;
-    if (!r.getString(out.workload) || !r.getString(out.design) ||
-        !r.getU32(out.clusters) || !readStats(r, out.stats) ||
-        !r.getDouble(out.seconds))
-        return false;
-    u64 count;
-    if (!r.getU64(count) || count > kMaxListLen)
-        return false;
-    out.perSegment.clear();
-    for (u64 i = 0; i < count; ++i) {
-        std::string name;
-        sched::SchedStats stats;
-        if (!r.getString(name) || !readStats(r, stats))
-            return false;
-        out.perSegment.emplace_back(std::move(name), stats);
-    }
-    if (!r.getString(out.rotScheme) || !r.getString(out.ksDataflow))
-        return false;
-    return r.atEnd();
-}
-
-std::vector<u8>
-workloadResultBytes(const sched::WorkloadResult &res)
-{
-    ByteWriter w;
-    serializeWorkloadResult(res, w);
     return w.take();
 }
 

@@ -90,11 +90,9 @@ bool deserializeSchedule(ByteReader &r, sched::Schedule &out);
 std::vector<u8> scheduleBytes(const sched::Schedule &s);
 /** @} */
 
-/** WorkloadResult <-> bytes, same contract. @{ */
-void serializeWorkloadResult(const sched::WorkloadResult &res, ByteWriter &w);
-bool deserializeWorkloadResult(ByteReader &r, sched::WorkloadResult &out);
+/** WorkloadResult -> bytes, with a version header: the fingerprint
+ *  tests compare results by. Nothing reads these bytes back. */
 std::vector<u8> workloadResultBytes(const sched::WorkloadResult &res);
-/** @} */
 
 }  // namespace crophe::plan
 

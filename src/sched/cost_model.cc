@@ -1,29 +1,11 @@
 #include "sched/cost_model.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/logging.h"
 #include "common/math_util.h"
 
 namespace crophe::sched {
-
-u64
-segmentAuxDramWords(const Schedule &sched)
-{
-    // Distinct aux keys actually charged to DRAM across the schedule.
-    u64 words = 0;
-    std::set<std::string> seen;
-    for (const auto &tg : sched.sequence) {
-        for (const auto &sg : tg.groups) {
-            for (const auto &[key, vol] : sg.auxNeeds) {
-                if (seen.insert(key).second)
-                    words += vol;
-            }
-        }
-    }
-    return words;
-}
 
 WorkloadResult
 aggregateWorkload(const graph::Workload &w, const hw::HwConfig &cfg,

@@ -36,9 +36,6 @@ struct WorkloadResult
     std::string ksDataflow;
 };
 
-/** Fraction of a segment's DRAM words that are shared aux constants. */
-u64 segmentAuxDramWords(const Schedule &sched);
-
 /**
  * Aggregate per-segment schedules into a workload result.
  *

@@ -1,89 +1,61 @@
 #include "sched/enumerator.h"
 
-#include <algorithm>
-#include <map>
-
 #include "common/logging.h"
 
 namespace crophe::sched {
 
 using graph::OpId;
 
-bool
-GroupMemo::lookup(u64 key, std::optional<SpatialGroup> &out) const
+namespace {
+
+/** Replace every op id in @p group's allocs and edges by @p id_of(id). */
+template <class IdOf>
+void
+relabel(SpatialGroup &group, IdOf id_of)
+{
+    for (auto &a : group.allocs)
+        a.op = id_of(a.op);
+    for (auto &e : group.internalEdges) {
+        e.from = id_of(e.from);
+        e.to = id_of(e.to);
+    }
+}
+
+}  // namespace
+
+const GroupMemo::Entry *
+GroupMemo::find(u64 key) const
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
-    if (it == map_.end())
-        return false;
-    out = it->second;
-    return true;
+    return it == map_.end() ? nullptr : &it->second;
 }
 
-bool
-GroupMemo::insert(u64 key, std::optional<SpatialGroup> value)
+std::pair<const GroupMemo::Entry *, bool>
+GroupMemo::insert(u64 key, Entry value)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return map_.emplace(key, std::move(value)).second;
+    auto [it, inserted] = map_.emplace(key, std::move(value));
+    return {&it->second, inserted};
 }
 
-u64
-GroupMemo::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return map_.size();
-}
-
-GroupEnumerator::GroupEnumerator(const graph::Graph &g,
-                                 const hw::HwConfig &cfg, bool mad,
-                                 u32 max_ops, GroupMemo *shared)
-    : g_(&g), cfg_(&cfg), mad_(mad), maxOps_(max_ops),
-      topo_(g.topoOrderAuxAffinity()), memo_(shared ? shared : &ownMemo_)
+GroupEnumerator::GroupEnumerator(const graph::Graph &g, hw::HwConfig cfg,
+                                 bool mad, u32 max_ops, GroupMemo &memo)
+    : g_(&g), cfg_(std::move(cfg)), mad_(mad), maxOps_(max_ops),
+      topo_(g.topoOrderAuxAffinity()), pos_(g.size()), memo_(memo)
 {
     CROPHE_ASSERT(maxOps_ >= 1, "maxOps must be positive");
-    u64 h = hw::configDigest(cfg);
+    for (u32 i = 0; i < topo_.size(); ++i)
+        pos_[topo_[i]] = i;
+    byWindow_.assign(topo_.size() * maxOps_, nullptr);
+    u64 h = hw::configDigest(cfg_);
     h ^= (mad ? 0x9e3779b97f4a7c15ull : 0) + (h << 6) + (h >> 2);
     h *= 1099511628211ull;
     cfgKey_ = h;
 }
 
-namespace {
-
-/** Convert an analyzed group to a position-indexed canonical form. */
-SpatialGroup
-canonicalize(const SpatialGroup &group, const std::vector<OpId> &window)
-{
-    std::map<OpId, OpId> pos;
-    for (u32 i = 0; i < window.size(); ++i)
-        pos[window[i]] = i;
-    SpatialGroup out = group;
-    for (auto &a : out.allocs)
-        a.op = pos.at(a.op);
-    for (auto &e : out.internalEdges) {
-        e.from = pos.at(e.from);
-        e.to = pos.at(e.to);
-    }
-    return out;
-}
-
-/** Re-bind a canonical group to concrete window op ids. */
-SpatialGroup
-materialize(const SpatialGroup &canonical, const std::vector<OpId> &window)
-{
-    SpatialGroup out = canonical;
-    for (auto &a : out.allocs)
-        a.op = window[a.op];
-    for (auto &e : out.internalEdges) {
-        e.from = window[e.from];
-        e.to = window[e.to];
-    }
-    return out;
-}
-
-}  // namespace
-
 u64
-GroupEnumerator::windowKey(const std::vector<OpId> &ops) const
+GroupEnumerator::windowKey(const std::vector<OpId> &ops, u32 begin) const
 {
     // Structural hash extended with everything analyzeSpatialGroup reads
     // from OUTSIDE the window: each op's external producers contribute
@@ -98,15 +70,10 @@ GroupEnumerator::windowKey(const std::vector<OpId> &ops) const
         h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
         h *= 1099511628211ull;
     };
-    std::vector<OpId> sorted(ops.begin(), ops.end());
-    std::sort(sorted.begin(), sorted.end());
-    auto inside = [&sorted](OpId id) {
-        return std::binary_search(sorted.begin(), sorted.end(), id);
-    };
     for (OpId id : ops) {
         for (OpId p : g_->producers(id)) {
-            if (inside(p))
-                continue;
+            if (pos_[p] - begin < ops.size())
+                continue;  // inside the window
             const graph::Op &prod = g_->op(p);
             mix(prod.outputWords);
             mix(prod.kind == graph::OpKind::Input ? 1 : 0);
@@ -122,42 +89,46 @@ GroupEnumerator::window(u32 begin, u32 len)
     if (len == 0 || len > maxOps_ || begin + len > topo_.size())
         return nullptr;
 
-    u64 wkey = static_cast<u64>(begin) * (maxOps_ + 1) + len;
-    auto wit = byWindow_.find(wkey);
-    if (wit != byWindow_.end())
-        return wit->second ? &*wit->second : nullptr;
-
-    std::vector<OpId> ops(topo_.begin() + begin, topo_.begin() + begin + len);
-    u64 h = windowKey(ops);
-
-    std::optional<SpatialGroup> canonical;
-    std::optional<SpatialGroup> result;
-    if (memo_->lookup(h, canonical)) {
-        ++hits_;
-        if (canonical)
-            result = materialize(*canonical, ops);
-    } else {
-        SpatialGroup group;
-        bool feasible = analyzeSpatialGroup(*g_, ops, *cfg_, mad_, group);
-        bool inserted = memo_->insert(
-            h, feasible ? std::optional<SpatialGroup>(
-                              canonicalize(group, ops))
-                        : std::nullopt);
-        // Losing the insert race counts as a hit: the winner's entry is
-        // identical (the memo value is a pure function of the key), so
-        // analyzed totals stay equal to the number of unique keys no
-        // matter how threads interleave.
-        if (inserted)
-            ++analyzed_;
-        else
+    const GroupMemo::Entry *&entry =
+        byWindow_[static_cast<std::size_t>(begin) * maxOps_ + len - 1];
+    if (entry == nullptr) {
+        std::vector<OpId> ops(topo_.begin() + begin,
+                              topo_.begin() + begin + len);
+        u64 h = windowKey(ops, begin);
+        entry = memo_.find(h);
+        if (entry != nullptr) {
             ++hits_;
-        if (feasible)
-            result = std::move(group);
+        } else {
+            GroupMemo::Entry canonical;
+            SpatialGroup group;
+            if (analyzeSpatialGroup(*g_, ops, cfg_, mad_, group)) {
+                relabel(group, [&](OpId id) { return pos_[id] - begin; });
+                canonical = std::move(group);
+            }
+            auto [stored, inserted] = memo_.insert(h, std::move(canonical));
+            entry = stored;
+            // Losing the insert race counts as a hit: the winner's entry
+            // is identical (the memo value is a pure function of the
+            // key), so analyzed totals stay equal to the number of unique
+            // keys no matter how threads interleave.
+            if (inserted)
+                ++analyzed_;
+            else
+                ++hits_;
+        }
     }
+    return entry->has_value() ? &**entry : nullptr;
+}
 
-    auto [it, ok] = byWindow_.emplace(wkey, std::move(result));
-    (void)ok;
-    return it->second ? &*it->second : nullptr;
+SpatialGroup
+GroupEnumerator::group(u32 begin, u32 len)
+{
+    const SpatialGroup *canonical = window(begin, len);
+    CROPHE_ASSERT(canonical != nullptr, "window at ", begin, " of ", len,
+                  " ops is infeasible");
+    SpatialGroup out = *canonical;
+    relabel(out, [&](u32 pos) { return topo_[begin + pos]; });
+    return out;
 }
 
 }  // namespace crophe::sched

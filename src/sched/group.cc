@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 #include "common/logging.h"
 #include "common/math_util.h"
@@ -13,15 +12,6 @@ using graph::Graph;
 using graph::Op;
 using graph::OpId;
 using graph::OpKind;
-
-bool
-SpatialGroup::contains(OpId id) const
-{
-    for (const auto &a : allocs)
-        if (a.op == id)
-            return true;
-    return false;
-}
 
 void
 SchedStats::accumulate(const SchedStats &other)
@@ -75,14 +65,6 @@ sramCycles(const hw::HwConfig &cfg, u64 words)
 }
 
 double
-linkCycles(const hw::HwConfig &cfg, double link_gbs, u64 words)
-{
-    CROPHE_ASSERT(link_gbs > 0.0, "link bandwidth must be positive");
-    return static_cast<double>(words) * cfg.wordBytes() * cfg.freqGhz /
-           link_gbs;
-}
-
-double
 nocCycles(const hw::HwConfig &cfg, u64 words)
 {
     // Aggregate mesh capacity: each PE can inject/eject a quarter-lane-width
@@ -126,8 +108,6 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
 {
     CROPHE_ASSERT(!ops.empty(), "empty group");
     out = SpatialGroup();
-
-    std::set<OpId> inside(ops.begin(), ops.end());
 
     // MAD-style fusion is limited to element-wise chains: it cannot fuse
     // across orientation switches, matrix ops, or key-switch inner
@@ -175,10 +155,15 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
     }
 
     // --- Edge planning ----------------------------------------------------
+    const u32 n = static_cast<u32>(ops.size());
+    graph::PositionIndex position(n, [&](u32 i) { return ops[i]; });
+    auto inside = [&position](OpId id) {
+        return position.find(id) != graph::PositionIndex::kNotFound;
+    };
     u64 buffer = 0;
     for (OpId id : ops) {
         for (OpId c : g.consumers(id)) {
-            if (!inside.count(c))
+            if (!inside(c))
                 continue;
             EdgePlan plan = planEdge(g, id, c, cfg);
             buffer += plan.bufferWords;
@@ -212,7 +197,7 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
 
         // Inputs produced outside the group arrive via the global buffer.
         for (OpId p : g.producers(id)) {
-            if (!inside.count(p) && g.op(p).kind != OpKind::Input) {
+            if (!inside(p) && g.op(p).kind != OpKind::Input) {
                 out.sramWords += g.op(p).outputWords;
                 out.extWords += g.op(p).outputWords;
             }
@@ -220,7 +205,7 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
         // Outputs consumed outside the group return to the global buffer.
         bool external_consumer = g.consumers(id).empty();
         for (OpId c : g.consumers(id))
-            external_consumer |= !inside.count(c);
+            external_consumer |= !inside(c);
         if (external_consumer && op.outputWords > 0) {
             out.sramWords += op.outputWords;
             out.extWords += op.outputWords;
@@ -261,10 +246,8 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
         return false;
 
     // --- Compute time: longest path with pipelining overlap ---------------
-    std::map<OpId, double> dur;
-    std::map<OpId, u32> pe_of;
-    for (const auto &a : out.allocs)
-        pe_of[a.op] = a.pes;
+    // Indexed by window position, as allocs are.
+    std::vector<double> dur(n, 0.0);
 
     // Per-class capacity on specialized hardware.
     double class_mults[hw::kFuClassCount];
@@ -273,16 +256,13 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
                              ? static_cast<double>(cfg.multsPerCycle())
                              : cfg.multsPerCycle() * cfg.fuFraction[k];
 
-    for (OpId id : ops) {
-        const Op &op = g.op(id);
-        if (op.kind == OpKind::Input || op.kind == OpKind::Output) {
-            // Pseudo-ops: their traffic is charged to DRAM, not to PEs.
-            dur[id] = 0.0;
-            continue;
-        }
+    for (u32 i = 0; i < n; ++i) {
+        const Op &op = g.op(ops[i]);
+        if (op.kind == OpKind::Input || op.kind == OpKind::Output)
+            continue;  // pseudo-ops: traffic charged to DRAM, not to PEs
         double mults;
         if (cfg.homogeneous) {
-            mults = static_cast<double>(pe_of[id]) * cfg.lanes;
+            mults = static_cast<double>(out.allocs[i].pes) * cfg.lanes;
         } else {
             // Specialized designs: the op can only use its own FU class.
             mults = class_mults[static_cast<u32>(fuClassOf(op))];
@@ -293,30 +273,31 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
         // class's lanes on specialized designs).
         double stream =
             static_cast<double>(op.outputWords) / std::max(1.0, mults);
-        dur[id] = std::max(compute, stream);
+        dur[i] = std::max(compute, stream);
     }
 
     // Longest path: pipelined edges overlap all but one granule; material-
-    // ized edges serialize producer and consumer.
-    std::map<OpId, double> finish;
+    // ized edges serialize producer and consumer. A producer not yet
+    // reached (ops out of topological order) counts as finished at 0.
+    std::vector<double> finish(n, 0.0);
     double group_finish = 0.0;
-    for (OpId id : ops) {  // ops is a topological window
+    for (u32 i = 0; i < n; ++i) {  // ops is a topological window
         double start = 0.0;
         for (const auto &e : out.internalEdges) {
-            if (e.to != id)
+            if (e.to != ops[i])
                 continue;
-            double p_finish = finish.count(e.from) ? finish[e.from] : 0.0;
+            const u32 from = position.find(e.from);
             if (e.mode == EdgeMode::Materialized) {
-                start = std::max(start, p_finish);
+                start = std::max(start, finish[from]);
             } else {
-                double p_start = p_finish - dur[e.from];
-                double fill = dur[e.from] /
+                double p_start = finish[from] - dur[from];
+                double fill = dur[from] /
                               std::max<u64>(1, chunkCount(g.op(e.from), cfg));
                 start = std::max(start, p_start + fill);
             }
         }
-        finish[id] = start + dur[id];
-        group_finish = std::max(group_finish, finish[id]);
+        finish[i] = start + dur[i];
+        group_finish = std::max(group_finish, finish[i]);
     }
 
     // On specialized hardware, same-class work also serializes on the

@@ -122,8 +122,6 @@ struct SpatialGroup
     /** Distinct aux keys (evk etc.) this group streams in, with volumes. */
     std::vector<std::pair<std::string, u64>> auxNeeds;
     double cycles = 0.0;         ///< bounding resource time
-
-    bool contains(graph::OpId id) const;
 };
 
 /** Spatial groups sharing the chip back-to-back with resident aux data. */
@@ -189,9 +187,6 @@ bool analyzeSpatialGroup(const graph::Graph &g,
 double dramCycles(const hw::HwConfig &cfg, u64 words);
 double sramCycles(const hw::HwConfig &cfg, u64 words);
 double nocCycles(const hw::HwConfig &cfg, u64 words);
-/** Serialization time of @p words over one inter-chip link of
- *  @p link_gbs GB/s, in @p cfg's cycles (pod partitioner / interconnect). */
-double linkCycles(const hw::HwConfig &cfg, double link_gbs, u64 words);
 /** @} */
 
 }  // namespace crophe::sched

@@ -74,12 +74,11 @@ class DeadlineClock
 class WindowBound
 {
   public:
-    WindowBound(const Graph &g, const hw::HwConfig &cfg, bool mad,
-                const std::vector<OpId> &topo)
-        : g_(&g), cfg_(&cfg), mad_(mad), topo_(&topo), pos_(g.size(), ~0u)
+    explicit WindowBound(const GroupEnumerator &e)
+        : g_(&e.graph()), cfg_(&e.config()), mad_(e.mad()), topo_(&e.topo()),
+          pos_(&e.positions())
     {
-        for (u32 i = 0; i < topo.size(); ++i)
-            pos_[topo[i]] = i;
+        const hw::HwConfig &cfg = e.config();
         // Admissible compute capacity: homogeneous chips retire at most
         // multsPerCycle; specialized chips at most the sum of their FU
         // class capacities (the per-class max in analyzeSpatialGroup is
@@ -157,11 +156,7 @@ class WindowBound
     }
 
   private:
-    bool inWindow(OpId id) const
-    {
-        u32 p = pos_[id];
-        return p >= begin_ && p < begin_ + len_;
-    }
+    bool inWindow(OpId id) const { return (*pos_)[id] - begin_ < len_; }
 
     void internalize(OpId p)
     {
@@ -178,7 +173,7 @@ class WindowBound
     const hw::HwConfig *cfg_;
     bool mad_;
     const std::vector<OpId> *topo_;
-    std::vector<u32> pos_;  ///< op id -> topo position
+    const std::vector<u32> *pos_;  ///< op id -> topo position
     double effMults_;
 
     u32 begin_ = 0;
@@ -192,10 +187,13 @@ class WindowBound
     std::set<std::string> seenAux_;
 };
 
-/** A cover of the topo order as (begin, len) windows with its cost. */
+/** A cover of the topo order as (begin, len) windows. */
+using Cover = std::vector<std::pair<u32, u32>>;
+
+/** A cover with its cost. */
 struct GreedyCover
 {
-    std::vector<std::pair<u32, u32>> windows;
+    Cover windows;
     double cycles = 0.0;
 };
 
@@ -241,17 +239,14 @@ greedyCover(GroupEnumerator &enumerator, const DeadlineClock *deadline)
     return cover;
 }
 
-/** Materialize a greedy cover back into analyzed spatial groups. */
+/** The analyzed spatial groups of @p cover's windows, with op ids. */
 std::vector<SpatialGroup>
-materializeCover(GroupEnumerator &enumerator, const GreedyCover &cover)
+materializeCover(GroupEnumerator &enumerator, const Cover &cover)
 {
     std::vector<SpatialGroup> groups;
-    groups.reserve(cover.windows.size());
-    for (auto [begin, len] : cover.windows) {
-        const SpatialGroup *g = enumerator.window(begin, len);
-        CROPHE_ASSERT(g != nullptr, "greedy window vanished");
-        groups.push_back(*g);
-    }
+    groups.reserve(cover.size());
+    for (auto [begin, len] : cover)
+        groups.push_back(enumerator.group(begin, len));
     return groups;
 }
 
@@ -273,9 +268,8 @@ materializeCover(GroupEnumerator &enumerator, const GreedyCover &cover)
  * is returned instead of finishing the DP, and @p degraded is set.
  */
 std::vector<SpatialGroup>
-coverByDp(GroupEnumerator &enumerator, bool prune, bool mad,
-          u64 &pruned_windows, const DeadlineClock *deadline,
-          bool &degraded)
+coverByDp(GroupEnumerator &enumerator, bool prune, u64 &pruned_windows,
+          const DeadlineClock *deadline, bool &degraded)
 {
     const u32 n = static_cast<u32>(enumerator.topo().size());
     constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -292,13 +286,12 @@ coverByDp(GroupEnumerator &enumerator, bool prune, bool mad,
     }
     auto fall_back = [&]() {
         degraded = true;
-        return materializeCover(enumerator, greedy);
+        return materializeCover(enumerator, greedy.windows);
     };
     if (timed && have_greedy && deadline->expired())
         return fall_back();
 
-    WindowBound wb(enumerator.graph(), enumerator.config(), mad,
-                   enumerator.topo());
+    WindowBound wb(enumerator);
     double bound = kInf;
     std::vector<double> lb_suffix;
     if (prune && n > 0) {
@@ -358,20 +351,11 @@ coverByDp(GroupEnumerator &enumerator, bool prune, bool mad,
     CROPHE_ASSERT(n == 0 || dp[n] < kInf, "search pruned away every cover");
 
     // Reconstruct the chosen segmentation.
-    std::vector<u32> cuts;
+    Cover cover;
     for (u32 i = n; i > 0; i -= choice[i])
-        cuts.push_back(i - choice[i]);
-    std::reverse(cuts.begin(), cuts.end());
-
-    std::vector<SpatialGroup> groups;
-    for (std::size_t k = 0; k < cuts.size(); ++k) {
-        u32 begin = cuts[k];
-        u32 len = (k + 1 < cuts.size() ? cuts[k + 1] : n) - begin;
-        const SpatialGroup *g = enumerator.window(begin, len);
-        CROPHE_ASSERT(g != nullptr, "chosen window vanished");
-        groups.push_back(*g);
-    }
-    return groups;
+        cover.emplace_back(i - choice[i], choice[i]);
+    std::reverse(cover.begin(), cover.end());
+    return materializeCover(enumerator, cover);
 }
 
 /**
@@ -637,14 +621,14 @@ Schedule
 scheduleOneGraph(const Graph &g, const hw::HwConfig &cfg,
                  const SchedOptions &opt, const DeadlineClock *deadline)
 {
+    CROPHE_ASSERT(opt.memo != nullptr, "scheduleGraph provides a memo");
     GroupEnumerator enumerator(g, cfg,
                                /*mad=*/!opt.crossOpDataflow,
                                opt.crossOpDataflow ? opt.maxGroupOps : 3,
-                               opt.memo);
+                               *opt.memo);
     u64 pruned = 0;
     bool degraded = false;
-    auto groups = coverByDp(enumerator, opt.pruneSearch,
-                            /*mad=*/!opt.crossOpDataflow, pruned, deadline,
+    auto groups = coverByDp(enumerator, opt.pruneSearch, pruned, deadline,
                             degraded);
     if (opt.search != nullptr) {
         opt.search->addEnumeration(enumerator.analyzedCount(),

@@ -623,6 +623,11 @@ struct Dispatcher::Run
         settleBreaker(std::numeric_limits<double>::infinity());
         res.recovery.breakerTrips = breaker.trips();
         res.recovery.breakerHalfOpens = breaker.halfOpens();
+        res.recovery.unfiredFaults = static_cast<u64>(
+            std::count_if(events.begin(), events.end(), [](const Event &e) {
+                return e.kind == EventKind::ChipFail ||
+                       e.kind == EventKind::LinkDegrade;
+            }));
         if (tr != nullptr)
             layOutRequestSpans();
         res.horizonSeconds =
@@ -697,7 +702,8 @@ Dispatcher::run(const std::vector<Request> &arrivals,
     // The earliest-free group dispatches once no event is due by its
     // start; until then the next event fires, so every event is handled
     // at its own virtual time and competes for (or invalidates) the
-    // batch. Faults after the last request event never fire.
+    // batch. Faults after the last request event never fire; finish()
+    // reports how many.
     while (!r.queue.empty() || r.requestEvents > 0) {
         if (opt_.cancelled && opt_.cancelled()) {
             r.res.truncated = true;

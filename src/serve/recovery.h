@@ -115,6 +115,9 @@ struct RecoveryStats
     u64 breakerRejected = 0;  ///< requests rejected by an open breaker
     u64 repartitions = 0;     ///< online survivor repartitions
     double downtimeSeconds = 0.0;  ///< virtual repartition downtime
+    /** Timed chip-fail and link-degrade events still pending when the
+     *  run ended: the last request finished before they were due. */
+    u64 unfiredFaults = 0;
 
     /** Any recovery activity at all? Healthy runs report nothing, which
      *  keeps their stdout/stats byte-identical to pre-recovery builds. */
@@ -124,7 +127,8 @@ struct RecoveryStats
                expired != 0 || batchFailures != 0 || hedgedBatches != 0 ||
                hedgeWins != 0 || breakerTrips != 0 ||
                breakerHalfOpens != 0 || breakerRejected != 0 ||
-               repartitions != 0 || downtimeSeconds != 0.0;
+               repartitions != 0 || downtimeSeconds != 0.0 ||
+               unfiredFaults != 0;
     }
 };
 

@@ -266,6 +266,10 @@ registerReport(const ServeReport &report, telemetry::StatsRegistry &reg,
         reg.scalar(prefix + ".recovery.downtimeSeconds",
                    "virtual repartition downtime")
             .set(rc.downtimeSeconds);
+        if (rc.unfiredFaults != 0)
+            reg.counter(prefix + ".recovery.unfiredFaults",
+                        "timed faults still pending when the run ended")
+                .set(rc.unfiredFaults);
     }
     if (report.truncated)
         reg.scalar(prefix + ".truncated", "run was cancelled mid-loop")
@@ -311,13 +315,16 @@ printReport(const ServeReport &report, std::ostream &os)
         std::snprintf(
             buf, sizeof(buf),
             "recovery: lost %llu batches / %llu requests, replayed "
-            "%llu, expired %llu, batch failures %llu\n",
+            "%llu, expired %llu, batch failures %llu",
             static_cast<unsigned long long>(rc.lostBatches),
             static_cast<unsigned long long>(rc.lostRequests),
             static_cast<unsigned long long>(rc.replays),
             static_cast<unsigned long long>(rc.expired),
             static_cast<unsigned long long>(rc.batchFailures));
         os << buf;
+        if (rc.unfiredFaults != 0)
+            os << ", unfired faults " << rc.unfiredFaults;
+        os << "\n";
         std::snprintf(
             buf, sizeof(buf),
             "          hedged %llu (won %llu), breaker trips %llu / "

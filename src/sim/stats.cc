@@ -3,23 +3,9 @@
 #include <iomanip>
 #include <sstream>
 
-#include "sched/cost_model.h"
 #include "telemetry/stats_registry.h"
 
 namespace crophe::sim {
-
-sched::SchedStats
-SimStats::toSchedStats(const hw::HwConfig &cfg) const
-{
-    sched::SchedStats st;
-    st.cycles = cycles;
-    st.dramWords = dramWords;
-    st.sramWords = sramWords;
-    st.nocWords = nocWords;
-    st.flops = flops;
-    sched::fillUtilization(st, cfg);
-    return st;
-}
 
 double
 SimStats::dramRowHitRate() const

@@ -4,14 +4,13 @@
 /**
  * @file
  * Simulation statistics: cycle counts plus per-resource busy/traffic
- * numbers, convertible to the scheduler's SchedStats for apples-to-apples
- * reporting (Table IV, Figure 11).
+ * numbers, reported beside the scheduler's SchedStats (Table IV,
+ * Figure 11).
  */
 
 #include <string>
 
-#include "hw/config.h"
-#include "sched/group.h"
+#include "common/types.h"
 
 namespace crophe::telemetry {
 class StatsRegistry;
@@ -46,9 +45,6 @@ struct SimStats
     u64 faultDramStalls = 0;    ///< bursts hitting a stalled channel
     u64 faultNocReroutes = 0;   ///< transfers detoured around dead links
     /** @} */
-
-    /** Convert to SchedStats (fills utilizations for @p cfg). */
-    sched::SchedStats toSchedStats(const hw::HwConfig &cfg) const;
 
     /** DRAM row-buffer hit fraction (0 when no rows were touched). */
     double dramRowHitRate() const;

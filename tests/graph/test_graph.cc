@@ -63,18 +63,6 @@ TEST(Graph, AuxDeduplicatedByKey)
     EXPECT_EQ(g.totalAuxWords(), 2ull * (1 << 10));
 }
 
-TEST(Graph, PartitionCoversAllNodes)
-{
-    Graph g = diamond();
-    auto parts = g.partition(3);
-    u32 total = 0;
-    for (const auto &p : parts) {
-        EXPECT_LE(p.size(), 3u);
-        total += static_cast<u32>(p.size());
-    }
-    EXPECT_EQ(total, g.size());
-}
-
 TEST(Graph, StructuralHashMatchesIsomorphicSubgraphs)
 {
     // Two copies of the same chain inside one graph hash identically.

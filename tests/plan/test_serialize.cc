@@ -11,9 +11,6 @@
 namespace crophe::plan {
 namespace {
 
-using graph::RotMode;
-using graph::WorkloadOptions;
-
 sched::SchedOptions
 cropheOptions()
 {
@@ -97,28 +94,6 @@ TEST(Serialize, ScheduleRoundTripsByteIdentically)
     EXPECT_EQ(back.warmStats.cycles, s.warmStats.cycles);
     EXPECT_EQ(back.sequence.size(), s.sequence.size());
     EXPECT_EQ(back.graph.size(), g.size());
-}
-
-TEST(Serialize, WorkloadResultRoundTripsByteIdentically)
-{
-    graph::FheParams p = graph::paramsArk();
-    WorkloadOptions wopt;
-    wopt.rotMode = RotMode::MinKs;
-    graph::Workload w = graph::buildBootstrapping(p, wopt);
-    sched::WorkloadResult res =
-        sched::scheduleWorkload(w, hw::configCrophe64(), cropheOptions());
-
-    std::vector<u8> bytes = workloadResultBytes(res);
-    sched::WorkloadResult back;
-    ByteReader r(bytes);
-    ASSERT_TRUE(deserializeWorkloadResult(r, back));
-    EXPECT_TRUE(r.atEnd());
-
-    EXPECT_EQ(workloadResultBytes(back), bytes);
-    EXPECT_EQ(back.workload, res.workload);
-    EXPECT_EQ(back.stats.cycles, res.stats.cycles);
-    EXPECT_EQ(back.seconds, res.seconds);
-    EXPECT_EQ(back.perSegment.size(), res.perSegment.size());
 }
 
 TEST(Serialize, RejectsWrongVersion)

@@ -38,7 +38,8 @@ TEST(Enumerator, MemoizationMergesRedundantSubgraphs)
     // is asked about.
     FheParams p = graph::paramsArk();
     Graph g = graph::buildPtMatVecMult(p, 10, 8, 1, RotMode::MinKs, 0);
-    GroupEnumerator e(g, hw::configCrophe64(), false, 6);
+    GroupMemo memo;
+    GroupEnumerator e(g, hw::configCrophe64(), false, 6, memo);
 
     u64 windows = 0;
     for (u32 begin = 0; begin < g.size(); ++begin)
@@ -282,6 +283,31 @@ TEST(HybridRotation, EnlargedSearchIsThreadCountInvariant)
     EXPECT_EQ(serial.rHyb, wide.rHyb);
     EXPECT_EQ(serial.ksDataflow, wide.ksDataflow);
     EXPECT_EQ(serial.result.stats.cycles, wide.result.stats.cycles);
+}
+
+TEST(HybridRotation, SearchCountersArePinned)
+{
+    // The memo and pruning may only change how the search is computed,
+    // never how much of it there is: these counts were recorded before
+    // the memo stored each analysis once, and must hold at any thread
+    // count (analyzed = unique memo keys, hits = the other window
+    // requests).
+    FheParams p = graph::paramsArk();
+    auto cfg = hw::withSramMB(hw::configCrophe64(), 64.0);
+    u32 before = ThreadPool::globalThreads();
+    for (u32 threads : {1u, 8u}) {
+        SCOPED_TRACE(threads);
+        ThreadPool::setGlobalThreads(threads);
+        telemetry::SearchTelemetry search;
+        SchedOptions opt = cropheOptions();
+        opt.search = &search;
+        chooseRotationScheme("helr", p, cfg, opt, true);
+        EXPECT_EQ(search.analyzed(), 31977u);
+        EXPECT_EQ(search.memoHits(), 566926u);
+        EXPECT_EQ(search.prunedWindows(), 915u);
+        EXPECT_EQ(search.candidates(), 252u);
+    }
+    ThreadPool::setGlobalThreads(before);
 }
 
 TEST(HybridRotation, ChoiceIsRecordedInSearchTelemetry)

@@ -367,6 +367,45 @@ TEST(Recovery, HealthyRunReportsNoRecoveryActivity)
     EXPECT_EQ(os.str().find("recovery"), std::string::npos);
 }
 
+TEST(Recovery, TimedFaultsThatNeverFireAreReported)
+{
+    // The only request finishes at 0.1 s, so the run ends before either
+    // fault is due; the report says so instead of staying silent.
+    auto cat = microCatalog();
+    auto tenants = oneTenant();
+    ServeOptions opt = stubOptions();
+    opt.pod.chips = 2;
+    opt.faultPlan =
+        fault::FaultPlan::parse("chip-fail@0.5=1,link-degrade@0.6=0.5", 2);
+    Dispatcher d(hw::configCrophe64(), cat, tenants, opt);
+    auto res = d.run({request(0, 0.0)}, 1.0);
+    EXPECT_EQ(res.recovery.unfiredFaults, 2u);
+    EXPECT_EQ(res.recovery.repartitions, 0u);
+    auto rep = buildReport(res, tenants);
+    std::ostringstream text;
+    printReport(rep, text);
+    EXPECT_NE(text.str().find("batch failures 0, unfired faults 2\n"),
+              std::string::npos)
+        << text.str();
+    telemetry::StatsRegistry reg;
+    registerReport(rep, reg);
+    EXPECT_EQ(reg.value("serve.recovery.unfiredFaults"), 2.0);
+
+    // A fault that fires leaves nothing pending, and the count stays out
+    // of both the text and the stats.
+    opt.faultPlan = fault::FaultPlan::parse("chip-fail@0.05=1", 2);
+    Dispatcher fired(hw::configCrophe64(), cat, tenants, opt);
+    auto fired_rep = buildReport(fired.run({request(0, 0.0)}, 1.0), tenants);
+    EXPECT_EQ(fired_rep.recovery.unfiredFaults, 0u);
+    EXPECT_EQ(fired_rep.recovery.repartitions, 1u);
+    std::ostringstream fired_text;
+    printReport(fired_rep, fired_text);
+    EXPECT_EQ(fired_text.str().find("unfired"), std::string::npos);
+    telemetry::StatsRegistry fired_reg;
+    registerReport(fired_rep, fired_reg);
+    EXPECT_FALSE(fired_reg.has("serve.recovery.unfiredFaults"));
+}
+
 // ---------------------------------------------------------------------
 // Real-catalog chaos determinism: exact seeded counts before/after a
 // chip failure, and the conservation invariant at 1/2/8 threads under

@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/parallel.h"
 #include "graph/params.h"
@@ -62,8 +63,7 @@ traffic(const Catalog &cat, const std::vector<TenantSpec> &tenants,
 
 /** Full serve run -> "<stats json>|<trace json>" byte string. */
 std::string
-runFingerprint(plan::PlanCache *cache, double planSecondsPerOp,
-               Policy policy = Policy::Wfq)
+runFingerprint(plan::PlanCache *cache, double planSecondsPerOp)
 {
     auto cat = microCatalog();
     auto tenants = twoTenants();
@@ -71,7 +71,7 @@ runFingerprint(plan::PlanCache *cache, double planSecondsPerOp,
 
     telemetry::TraceRecorder trace;
     ServeOptions opt;
-    opt.policy = policy;
+    opt.policy = Policy::Wfq;
     opt.maxBatch = 4;
     opt.admission.shedFactor = 4.0;
     opt.planSecondsPerOp = planSecondsPerOp;
@@ -275,14 +275,23 @@ TEST(ServeDeterminism, HealthyRunsMatchPinnedStatsAndTraceHashes)
 
 TEST(ServeDeterminism, PoliciesShareArrivalsButReorderService)
 {
-    // Same trace under fifo/edf/wfq: identical offered counts,
-    // deterministic (possibly different) service orders each.
-    plan::PlanCache c1, c2;
-    EXPECT_EQ(runFingerprint(&c1, 0.0, Policy::Fifo),
-              runFingerprint(&c2, 0.0, Policy::Fifo));
-    plan::PlanCache c3, c4;
-    EXPECT_EQ(runFingerprint(&c3, 0.0, Policy::Edf),
-              runFingerprint(&c4, 0.0, Policy::Edf));
+    // One loaded trace under fifo, edf and wfq: every policy is offered
+    // the same requests, and each serves them in its own order, so no
+    // two runs print the same stats.
+    const Policy policies[] = {Policy::Fifo, Policy::Edf, Policy::Wfq};
+    std::vector<PinnedRun> runs;
+    for (Policy policy : policies) {
+        ServeOptions opt;
+        opt.policy = policy;
+        runs.push_back(pinnedRun(opt));
+    }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        EXPECT_GT(runs[i].report.total.offered, 0u);
+        EXPECT_EQ(runs[i].report.total.offered, runs[0].report.total.offered);
+        for (std::size_t j = i + 1; j < runs.size(); ++j)
+            EXPECT_NE(runs[i].statsHash, runs[j].statsHash)
+                << "policies " << i << " and " << j << " served alike";
+    }
 }
 
 }  // namespace

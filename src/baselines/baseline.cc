@@ -143,7 +143,7 @@ runDesign(const DesignSpec &design, const std::string &workload,
     if (run.search != nullptr) {
         std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - start;
-        run.search->addSearchSeconds(elapsed.count());
+        run.search->addDesignSeconds(elapsed.count());
     }
     return res;
 }

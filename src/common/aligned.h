@@ -37,12 +37,7 @@ class AlignedVec
 
     explicit AlignedVec(std::size_t n) { assign(n); }
 
-    AlignedVec(const AlignedVec &other)
-    {
-        assign(other.size_);
-        if (size_ != 0)
-            std::memcpy(p_, other.p_, size_ * sizeof(T));
-    }
+    AlignedVec(const AlignedVec &other) { copyFrom(other); }
 
     AlignedVec(AlignedVec &&other) noexcept
         : p_(std::exchange(other.p_, nullptr)),
@@ -53,11 +48,8 @@ class AlignedVec
     AlignedVec &
     operator=(const AlignedVec &other)
     {
-        if (this != &other) {
-            assign(other.size_);
-            if (size_ != 0)
-                std::memcpy(p_, other.p_, size_ * sizeof(T));
-        }
+        if (this != &other)
+            copyFrom(other);
         return *this;
     }
 
@@ -78,13 +70,9 @@ class AlignedVec
     void
     assign(std::size_t n)
     {
-        release();
-        if (n == 0)
-            return;
-        p_ = static_cast<T *>(::operator new(
-            n * sizeof(T), std::align_val_t{kCacheLineBytes}));
-        std::memset(p_, 0, n * sizeof(T));
-        size_ = n;
+        allocate(n);
+        if (n != 0)
+            std::memset(p_, 0, n * sizeof(T));
     }
 
     T *data() { return p_; }
@@ -101,6 +89,28 @@ class AlignedVec
     const T *end() const { return p_ + size_; }
 
   private:
+    /** Reallocate to @p n uninitialized elements. */
+    void
+    allocate(std::size_t n)
+    {
+        release();
+        if (n == 0)
+            return;
+        p_ = static_cast<T *>(::operator new(
+            n * sizeof(T), std::align_val_t{kCacheLineBytes}));
+        size_ = n;
+    }
+
+    /** Become a copy of @p other; the slab is written once, by memcpy. */
+    void
+    copyFrom(const AlignedVec &other)
+    {
+        if (size_ != other.size_)
+            allocate(other.size_);
+        if (size_ != 0)
+            std::memcpy(p_, other.p_, size_ * sizeof(T));
+    }
+
     void
     release()
     {

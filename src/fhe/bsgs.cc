@@ -165,7 +165,7 @@ ptMatVecMult(const Evaluator &eval, const Ciphertext &ct,
                 r = std::move(term);
                 have_r = true;
             } else {
-                r = eval.add(r, term);
+                eval.addInplace(r, term);
             }
         }
         if (j > 0) {
@@ -199,7 +199,7 @@ ptMatVecMult(const Evaluator &eval, const Ciphertext &ct,
             out = std::move(r);
             have_out = true;
         } else {
-            out = eval.add(out, r);
+            eval.addInplace(out, r);
         }
     }
     if (have_acc) {

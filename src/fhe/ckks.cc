@@ -105,13 +105,19 @@ Evaluator::decrypt(const Ciphertext &ct, const SecretKey &sk) const
 Ciphertext
 Evaluator::add(const Ciphertext &c0, const Ciphertext &c1) const
 {
+    Ciphertext out = c0;
+    addInplace(out, c1);
+    return out;
+}
+
+void
+Evaluator::addInplace(Ciphertext &c0, const Ciphertext &c1) const
+{
     CROPHE_ASSERT(c0.level == c1.level, "HAdd level mismatch");
     CROPHE_ASSERT(std::abs(c0.scale / c1.scale - 1.0) < 1e-9,
                   "HAdd scale mismatch: ", c0.scale, " vs ", c1.scale);
-    Ciphertext out = c0;
-    out.b.addInplace(c1.b);
-    out.a.addInplace(c1.a);
-    return out;
+    c0.b.addInplace(c1.b);
+    c0.a.addInplace(c1.a);
 }
 
 Ciphertext

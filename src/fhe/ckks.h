@@ -48,6 +48,8 @@ class Evaluator
     Plaintext decrypt(const Ciphertext &ct, const SecretKey &sk) const;
 
     Ciphertext add(const Ciphertext &c0, const Ciphertext &c1) const;
+    /** c0 += c1, with add()'s level and scale checks. */
+    void addInplace(Ciphertext &c0, const Ciphertext &c1) const;
     Ciphertext sub(const Ciphertext &c0, const Ciphertext &c1) const;
 
     /** Add an encoded plaintext (PAdd); scales must match. */

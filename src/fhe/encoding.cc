@@ -1,26 +1,41 @@
 #include "fhe/encoding.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 
 namespace crophe::fhe {
 
 namespace {
 
-/** Map a signed real coefficient to its residues over the poly's basis. */
+/**
+ * Round each scaled real coefficient to an integer and write its
+ * residues over the poly's basis, one limb row at a time; coefficients
+ * past values.size() stay zero.
+ */
 void
-setSignedCoeff(RnsPoly &poly, u64 idx, double value)
+setSignedCoeffs(RnsPoly &poly, std::span<const double> values)
 {
-    bool negative = value < 0;
-    double mag = std::abs(value);
-    CROPHE_ASSERT(mag < 0x1.0p62, "coefficient too large to encode: ", value);
-    u64 v = static_cast<u64>(std::llround(mag));
-    for (u32 i = 0; i < poly.limbCount(); ++i) {
-        const Modulus &m = poly.mod(i);
-        u64 r = m.reduce64(v);
-        poly.limb(i)[idx] = negative ? m.neg(r) : r;
+    std::vector<i64> rounded(values.size());
+    for (u64 k = 0; k < values.size(); ++k) {
+        double mag = std::abs(values[k]);
+        CROPHE_ASSERT(mag < 0x1.0p62, "coefficient too large to encode: ",
+                      values[k]);
+        i64 v = static_cast<i64>(std::llround(mag));
+        rounded[k] = values[k] < 0 ? -v : v;
     }
+    parallelFor(0, poly.limbCount(), [&](u64 l) {
+        const Modulus &m = poly.mod(l);
+        auto row = poly.limb(l);
+        for (u64 k = 0; k < rounded.size(); ++k) {
+            i64 c = rounded[k];
+            row[k] = c >= 0 ? m.reduce64(static_cast<u64>(c))
+                            : m.neg(m.reduce64(static_cast<u64>(-c)));
+        }
+    });
 }
 
 }  // namespace
@@ -43,14 +58,17 @@ Encoder::encode(const std::vector<Cplx> &values, u32 level,
 
     fft_.embedInverse(vals);
 
+    std::vector<double> coeffs(ctx_->n());
+    for (u64 j = 0; j < half; ++j) {
+        coeffs[j] = vals[j].real() * scale;
+        coeffs[j + half] = vals[j].imag() * scale;
+    }
+
     Plaintext pt;
     pt.scale = scale;
     pt.level = level;
     pt.poly = RnsPoly(*ctx_, ctx_->qBasis(level), Rep::Coeff);
-    for (u64 j = 0; j < half; ++j) {
-        setSignedCoeff(pt.poly, j, vals[j].real() * scale);
-        setSignedCoeff(pt.poly, j + half, vals[j].imag() * scale);
-    }
+    setSignedCoeffs(pt.poly, coeffs);
     pt.poly.toEval();
     return pt;
 }
@@ -73,8 +91,8 @@ Encoder::encodeCoeffs(const std::vector<double> &coeffs, u32 level,
     pt.scale = scale;
     pt.level = level;
     pt.poly = RnsPoly(*ctx_, ctx_->qBasis(level), Rep::Coeff);
-    for (u64 i = 0; i < coeffs.size() && i < ctx_->n(); ++i)
-        setSignedCoeff(pt.poly, i, coeffs[i]);
+    setSignedCoeffs(pt.poly, std::span<const double>(coeffs).first(
+                                 std::min<u64>(coeffs.size(), ctx_->n())));
     pt.poly.toEval();
     return pt;
 }
@@ -86,7 +104,27 @@ Encoder::decode(const Plaintext &pt) const
     if (poly.rep() == Rep::Eval)
         poly.toCoeff();
 
-    // CRT-reconstruct and center each coefficient.
+    // CRT-reconstruct each coefficient as
+    //   x = Σ_i [x_i·(M/m_i)^{-1} mod m_i]·(M/m_i) mod M
+    // with M, M/m_i and the inverses derived once for all coefficients
+    // (RnsPoly::reconstructCoeff is the per-coefficient reference), then
+    // center it against Q_level.
+    const u32 limbs = poly.limbCount();
+    std::vector<u64> mods(limbs);
+    for (u32 i = 0; i < limbs; ++i)
+        mods[i] = poly.mod(i).value();
+    const BigUInt big_m = productOf(mods);
+    std::vector<BigUInt> mhat(limbs);
+    std::vector<u64> mhat_inv(limbs);
+    for (u32 i = 0; i < limbs; ++i) {
+        std::vector<u64> others;
+        for (u32 k = 0; k < limbs; ++k)
+            if (k != i)
+                others.push_back(mods[k]);
+        mhat[i] = productOf(others);
+        mhat_inv[i] = poly.mod(i).inv(mhat[i].modSmall(mods[i]));
+    }
+
     BigUInt big_q = ctx_->bigQ(pt.level);
     BigUInt half_q = big_q.half();
     const u64 n = ctx_->n();
@@ -94,7 +132,12 @@ Encoder::decode(const Plaintext &pt) const
     std::vector<Cplx> vals(half);
     std::vector<double> coeffs(n);
     for (u64 i = 0; i < n; ++i) {
-        BigUInt c = poly.reconstructCoeff(i);
+        BigUInt c(0);
+        for (u32 l = 0; l < limbs; ++l)
+            c.addMulSmall(mhat[l], poly.mod(l).mul(poly.limb(l)[i],
+                                                   mhat_inv[l]));
+        while (!(c < big_m))
+            c.subInplace(big_m);
         if (half_q < c) {
             BigUInt neg = big_q;
             neg.subInplace(c);

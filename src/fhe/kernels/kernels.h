@@ -88,7 +88,11 @@ struct KernelTable
     void (*subMod)(u64 *dst, const u64 *src, u64 n, u64 q);
     /** dst[i] = (-dst[i]) mod q. */
     void (*negMod)(u64 *dst, u64 n, u64 q);
-    /** dst[i] = dst[i]·src[i] mod q via two-word Barrett. */
+    /**
+     * dst[i] = dst[i]·src[i] mod q; inputs canonical. Two-word Barrett,
+     * except that avx512 takes the quotient in double precision when
+     * q < 2^50 (DESIGN.md §10); every path returns the same residue.
+     */
     void (*mulModBarrett)(u64 *dst, const u64 *src, u64 n,
                           const BarrettView &q);
     /** dst[i] = dst[i]·w mod q via Shoup; requires w < q, dst canonical. */

@@ -355,15 +355,48 @@ negModAvx512(u64 *dst, u64 n, u64 q)
         dst[i] = dst[i] == 0 ? 0 : q - dst[i];
 }
 
+/**
+ * Lane-wise a·c mod q for canonical a, c and q < 2^50, with the quotient
+ * taken in double precision. a and c are exact doubles and a·c/q < q <
+ * 2^50, so the three roundings of fl(fl(a·c)·fl(1/q)) (relative error
+ * ≤ 2^-53 each) leave it within 0.375 of a·c/q: its floor is ⌊a·c/q⌋
+ * or one off either way. a·c − quot·q, taken mod 2^64 by two vpmullq,
+ * therefore lies in [−q, 2q), and one signed correction each way makes
+ * it the canonical residue — the same word the Barrett path returns.
+ */
+inline __m512i
+floatQuotMulV(__m512i a, __m512i c, __m512i vq, __m512d vqInv)
+{
+    __m512d prod = _mm512_mul_pd(_mm512_cvtepu64_pd(a), _mm512_cvtepu64_pd(c));
+    __m512i quot = _mm512_cvttpd_epu64(_mm512_mul_pd(prod, vqInv));
+    __m512i r = _mm512_sub_epi64(_mm512_mullo_epi64(a, c),
+                                 _mm512_mullo_epi64(quot, vq));
+    __mmask8 neg = _mm512_cmplt_epi64_mask(r, _mm512_setzero_si512());
+    r = _mm512_mask_add_epi64(r, neg, r, vq);
+    return condSub(r, vq);
+}
+
 void
 mulModBarrettAvx512(u64 *dst, const u64 *src, u64 n, const BarrettView &q)
 {
-    const BarrettV b = broadcastBarrett(q);
     u64 i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i a = _mm512_loadu_si512(dst + i);
-        __m512i c = _mm512_loadu_si512(src + i);
-        _mm512_storeu_si512(dst + i, barrettMulV(a, c, b));
+    if (q.q < (1ull << 50)) {
+        const __m512i vq = _mm512_set1_epi64(static_cast<long long>(q.q));
+        const __m512d vqInv = _mm512_set1_pd(1.0 / static_cast<double>(q.q));
+        for (; i + 8 <= n; i += 8) {
+            __m512i a = _mm512_loadu_si512(dst + i);
+            __m512i c = _mm512_loadu_si512(src + i);
+            _mm512_storeu_si512(dst + i, floatQuotMulV(a, c, vq, vqInv));
+        }
+    } else {
+        // 51–59-bit moduli: the double quotient's error bound no longer
+        // holds, so emulate the two-word Barrett reduction.
+        const BarrettV b = broadcastBarrett(q);
+        for (; i + 8 <= n; i += 8) {
+            __m512i a = _mm512_loadu_si512(dst + i);
+            __m512i c = _mm512_loadu_si512(src + i);
+            _mm512_storeu_si512(dst + i, barrettMulV(a, c, b));
+        }
     }
     for (; i < n; ++i) {
         u128 x = static_cast<u128>(dst[i]) * src[i];
@@ -456,6 +489,10 @@ bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
     const BarrettV b = broadcastBarrett(q);
     const __m512i one = _mm512_set1_epi64(1);
     const __m512i vmmod = _mm512_set1_epi64(static_cast<long long>(mModT));
+    // The correction floor(vest)·mModT has a factor ≤ m < 256, so below
+    // 2^50 it takes the float-quotient multiply (v·mModT/q < 256).
+    const bool floatQuot = q.q < (1ull << 50);
+    const __m512d vqInv = _mm512_set1_pd(1.0 / static_cast<double>(q.q));
     u64 c = 0;
     for (; c + 8 <= cnt; c += 8) {
         __m512i accLo = _mm512_setzero_si512();
@@ -473,7 +510,8 @@ bconvOutAvx512(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
         }
         __m512i sres = barrettReduceV(accHi, accLo, b);
         __m512i v = _mm512_cvttpd_epu64(_mm512_loadu_pd(vest + c));
-        __m512i corr = barrettMulV(v, vmmod, b);
+        __m512i corr = floatQuot ? floatQuotMulV(v, vmmod, b.q, vqInv)
+                                 : barrettMulV(v, vmmod, b);
         __m512i r = _mm512_add_epi64(_mm512_sub_epi64(sres, corr), b.q);
         r = condSub(r, b.q);
         _mm512_storeu_si512(out + c, r);

@@ -182,6 +182,21 @@ Graph::totalAuxWords() const
     return total;
 }
 
+void
+hashOpShape(u64 &h, const Op &op)
+{
+    hashMix(h, static_cast<u64>(op.kind));
+    hashMix(h, op.n);
+    hashMix(h, op.n1);
+    hashMix(h, op.limbsIn);
+    hashMix(h, op.limbsOut);
+    hashMix(h, op.beta);
+    hashMix(h, op.auxWords);
+    // Aux identity matters: subgraphs touching different evks are not
+    // interchangeable for sharing/caching decisions.
+    hashMix(h, std::hash<std::string>{}(op.auxKey));
+}
+
 u64
 Graph::structuralHash(const std::vector<OpId> &nodes) const
 {
@@ -190,27 +205,12 @@ Graph::structuralHash(const std::vector<OpId> &nodes) const
     PositionIndex index(static_cast<u32>(nodes.size()),
                         [&](u32 i) { return nodes[i]; });
 
-    u64 h = 1469598103934665603ull;
-    auto mix = [&h](u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 1099511628211ull;
-    };
-
+    u64 h = kHashSeed;
     for (OpId id : nodes) {
-        const Op &op = ops_[id];
-        mix(static_cast<u64>(op.kind));
-        mix(op.n);
-        mix(op.n1);
-        mix(op.limbsIn);
-        mix(op.limbsOut);
-        mix(op.beta);
-        mix(op.auxWords);
-        // Aux identity matters: subgraphs touching different evks are not
-        // interchangeable for sharing/caching decisions.
-        mix(std::hash<std::string>{}(op.auxKey));
+        hashOpShape(h, ops_[id]);
         for (OpId c : succ_[id]) {
             u32 pos = index.find(c);
-            mix(pos == PositionIndex::kNotFound ? ~0ull : pos);
+            hashMix(h, pos == PositionIndex::kNotFound ? ~0ull : pos);
         }
     }
     return h;

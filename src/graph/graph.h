@@ -18,6 +18,23 @@
 
 namespace crophe::graph {
 
+/** FNV-1a offset basis: the seed of every structural hash. */
+inline constexpr u64 kHashSeed = 1469598103934665603ull;
+
+/** One FNV-style mixing step of the structural hashes. */
+inline void
+hashMix(u64 &h, u64 v)
+{
+    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    h *= 1099511628211ull;
+}
+
+/**
+ * Mix the shape fields a structural hash covers into @p h: kind, loop
+ * shape, limb counts, digit count, aux volume and aux identity.
+ */
+void hashOpShape(u64 &h, const Op &op);
+
 /** A producer→consumer edge; volume is the producer's output words. */
 struct Edge
 {

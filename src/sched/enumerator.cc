@@ -42,44 +42,50 @@ GroupMemo::insert(u64 key, Entry value)
 GroupEnumerator::GroupEnumerator(const graph::Graph &g, hw::HwConfig cfg,
                                  bool mad, u32 max_ops, GroupMemo &memo)
     : g_(&g), cfg_(std::move(cfg)), mad_(mad), maxOps_(max_ops),
-      topo_(g.topoOrderAuxAffinity()), pos_(g.size()), memo_(memo)
+      topo_(g.topoOrderAuxAffinity()), pos_(g.size()),
+      shape_(topo_.size()), memo_(memo)
 {
     CROPHE_ASSERT(maxOps_ >= 1, "maxOps must be positive");
-    for (u32 i = 0; i < topo_.size(); ++i)
+    for (u32 i = 0; i < topo_.size(); ++i) {
         pos_[topo_[i]] = i;
+        shape_[i] = graph::kHashSeed;
+        graph::hashOpShape(shape_[i], g.op(topo_[i]));
+    }
     byWindow_.assign(topo_.size() * maxOps_, nullptr);
-    u64 h = hw::configDigest(cfg_);
-    h ^= (mad ? 0x9e3779b97f4a7c15ull : 0) + (h << 6) + (h >> 2);
-    h *= 1099511628211ull;
-    cfgKey_ = h;
+    cfgKey_ = hw::configDigest(cfg_);
+    graph::hashMix(cfgKey_, mad ? 1 : 0);
 }
 
 u64
-GroupEnumerator::windowKey(const std::vector<OpId> &ops, u32 begin) const
+GroupEnumerator::windowKey(u32 begin, u32 len) const
 {
-    // Structural hash extended with everything analyzeSpatialGroup reads
-    // from OUTSIDE the window: each op's external producers contribute
-    // their output volume and Input-kind flag (they are charged to
-    // SRAM/DRAM traffic), and the hardware/MAD context is folded in so one
-    // store can serve many configs. Without the extension, two windows
-    // with equal internal structure but different upstream volumes would
-    // collide — and a shared memo would then return whichever analysis was
-    // inserted first, making results depend on thread timing.
-    u64 h = g_->structuralHash(ops);
-    auto mix = [&h](u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 1099511628211ull;
-    };
-    for (OpId id : ops) {
-        for (OpId p : g_->producers(id)) {
-            if (pos_[p] - begin < ops.size())
-                continue;  // inside the window
-            const graph::Op &prod = g_->op(p);
-            mix(prod.outputWords);
-            mix(prod.kind == graph::OpKind::Input ? 1 : 0);
+    // Each op's shape digest and its consumers' window positions (~0 when
+    // outside) give the window's internal structure. The key then folds
+    // in everything analyzeSpatialGroup reads from OUTSIDE the window:
+    // each external producer's output volume and Input-kind flag (they are
+    // charged to SRAM/DRAM traffic), and the hardware/MAD context, so one
+    // store can serve many configs. Without them, two windows with equal
+    // internal structure but different upstream volumes would collide —
+    // and a shared memo would then return whichever analysis was inserted
+    // first, making results depend on thread timing.
+    u64 h = graph::kHashSeed;
+    for (u32 i = begin; i < begin + len; ++i) {
+        graph::hashMix(h, shape_[i]);
+        for (OpId c : g_->consumers(topo_[i])) {
+            const u32 rel = pos_[c] - begin;
+            graph::hashMix(h, rel < len ? rel : ~0ull);
         }
     }
-    mix(cfgKey_);
+    for (u32 i = begin; i < begin + len; ++i) {
+        for (OpId p : g_->producers(topo_[i])) {
+            if (pos_[p] - begin < len)
+                continue;  // inside the window
+            const graph::Op &prod = g_->op(p);
+            graph::hashMix(h, prod.outputWords);
+            graph::hashMix(h, prod.kind == graph::OpKind::Input ? 1 : 0);
+        }
+    }
+    graph::hashMix(h, cfgKey_);
     return h;
 }
 
@@ -92,13 +98,13 @@ GroupEnumerator::window(u32 begin, u32 len)
     const GroupMemo::Entry *&entry =
         byWindow_[static_cast<std::size_t>(begin) * maxOps_ + len - 1];
     if (entry == nullptr) {
-        std::vector<OpId> ops(topo_.begin() + begin,
-                              topo_.begin() + begin + len);
-        u64 h = windowKey(ops, begin);
+        u64 h = windowKey(begin, len);
         entry = memo_.find(h);
         if (entry != nullptr) {
             ++hits_;
         } else {
+            std::vector<OpId> ops(topo_.begin() + begin,
+                                  topo_.begin() + begin + len);
             GroupMemo::Entry canonical;
             SpatialGroup group;
             if (analyzeSpatialGroup(*g_, ops, cfg_, mad_, group)) {

@@ -6,8 +6,9 @@
  * Bottom-up spatial-group candidate enumeration (Section V-D).
  *
  * Candidates are contiguous windows of the topological order, up to the
- * configured maximum size. Analysis results are memoized by structural
- * hash so that the many isomorphic subgraphs of FHE workloads (every
+ * configured maximum size. Analysis results are memoized by a structural
+ * key — per-op shape digests plus the window-relative edge structure —
+ * so that the many isomorphic subgraphs of FHE workloads (every
  * KeySwitch looks alike) are each analyzed only once — the paper's
  * redundant-subgraph merging.
  *
@@ -98,7 +99,7 @@ class GroupEnumerator
     u64 memoHits() const { return hits_; }
 
   private:
-    u64 windowKey(const std::vector<graph::OpId> &ops, u32 begin) const;
+    u64 windowKey(u32 begin, u32 len) const;
 
     const graph::Graph *g_;
     hw::HwConfig cfg_;
@@ -106,6 +107,7 @@ class GroupEnumerator
     u32 maxOps_;
     std::vector<graph::OpId> topo_;
     std::vector<u32> pos_;  ///< op id -> topo position
+    std::vector<u64> shape_;  ///< topo position -> digest of the op's shape
     u64 cfgKey_;  ///< configDigest ⊕ mad, folded into every memo key
     GroupMemo &memo_;
     /** Memo entry of window (begin, len) at begin*maxOps+len-1; null

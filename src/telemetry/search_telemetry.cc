@@ -57,10 +57,10 @@ SearchTelemetry::addDeadlineHit()
 }
 
 void
-SearchTelemetry::addSearchSeconds(double seconds)
+SearchTelemetry::addDesignSeconds(double seconds)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    searchSeconds_ += seconds;
+    designSeconds_ += seconds;
 }
 
 u64
@@ -92,10 +92,10 @@ SearchTelemetry::deadlineHits() const
 }
 
 double
-SearchTelemetry::searchSeconds() const
+SearchTelemetry::designSeconds() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return searchSeconds_;
+    return designSeconds_;
 }
 
 u64
@@ -210,9 +210,9 @@ SearchTelemetry::registerStats(StatsRegistry &reg,
     reg.counter(prefix + ".plan.misses",
                 "plan-cache lookups that fell back to a full search")
         .set(planMisses());
-    reg.scalar(prefix + ".search.seconds",
-               "wall-clock seconds spent scheduling")
-        .set(searchSeconds());
+    reg.scalar(prefix + ".search.designSeconds",
+               "per-design run seconds summed across threads")
+        .set(designSeconds());
     // Only registered once a deadline actually truncated a search, so
     // deadline-free runs keep their pre-anytime stats dumps byte-identical.
     if (deadlineHits() > 0)

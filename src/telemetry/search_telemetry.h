@@ -78,8 +78,12 @@ class SearchTelemetry
     /** Record one graph search truncated by its anytime deadline. */
     void addDeadlineHit();
 
-    /** Accumulate wall-clock seconds spent searching (baselines timing). */
-    void addSearchSeconds(double seconds);
+    /**
+     * Add one design run's elapsed seconds (its search, plus simulation
+     * under --simulate). Concurrent runs each add their own, so the sum
+     * can exceed the wall time of the whole harness.
+     */
+    void addDesignSeconds(double seconds);
 
     u64 candidates() const;
     u64 analyzed() const;
@@ -88,7 +92,7 @@ class SearchTelemetry
     u64 planHits() const;
     u64 planMisses() const;
     u64 deadlineHits() const;
-    double searchSeconds() const;
+    double designSeconds() const;
     /** Fraction of candidate-group lookups served from the memo. */
     double memoHitRate() const;
     double bestCost() const;
@@ -115,7 +119,7 @@ class SearchTelemetry
     u64 planHits_ = 0;
     u64 planMisses_ = 0;
     u64 deadlineHits_ = 0;
-    double searchSeconds_ = 0.0;
+    double designSeconds_ = 0.0;
 };
 
 }  // namespace crophe::telemetry

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "common/rng.h"
+#include "fhe/ckks.h"
 #include "fhe/encoding.h"
 #include "tests/fhe/test_util.h"
 
@@ -10,6 +12,7 @@ namespace crophe::fhe {
 namespace {
 
 using test::smallContext;
+using test::smallParams;
 
 double
 maxSlotErr(const std::vector<Cplx> &a, const std::vector<Cplx> &b)
@@ -94,6 +97,78 @@ TEST(Encoder, ScaleIsRespected)
     Plaintext big = enc.encodeReal(v, 1, 1ull << 40);
     EXPECT_NEAR(enc.decode(small)[0].real(), 0.5, 1e-4);
     EXPECT_NEAR(enc.decode(big)[0].real(), 0.5, 1e-10);
+}
+
+/**
+ * Decode through the per-coefficient oracle: RnsPoly::reconstructCoeff
+ * re-derives every CRT constant for every coefficient. Same centering,
+ * scaling and embedding as Encoder::decode.
+ */
+std::vector<Cplx>
+referenceDecode(const FheContext &ctx, const Plaintext &pt)
+{
+    RnsPoly poly = pt.poly;
+    if (poly.rep() == Rep::Eval)
+        poly.toCoeff();
+    BigUInt big_q = ctx.bigQ(pt.level);
+    BigUInt half_q = big_q.half();
+    const u64 half = ctx.n() / 2;
+    std::vector<double> coeffs(ctx.n());
+    for (u64 i = 0; i < ctx.n(); ++i) {
+        BigUInt c = poly.reconstructCoeff(i);
+        if (half_q < c) {
+            BigUInt neg = big_q;
+            neg.subInplace(c);
+            coeffs[i] = -neg.toDouble();
+        } else {
+            coeffs[i] = c.toDouble();
+        }
+        coeffs[i] /= pt.scale;
+    }
+    std::vector<Cplx> vals(half);
+    for (u64 j = 0; j < half; ++j)
+        vals[j] = Cplx(coeffs[j], coeffs[j + half]);
+    SpecialFft(ctx.n()).embed(vals);
+    return vals;
+}
+
+TEST(Encoder, DecodeMatchesPerCoefficientCrtBitForBit)
+{
+    // The 59-bit context runs decrypt's element-wise multiply on the
+    // emulated 128-bit Barrett path; the default one (35/50-bit) on the
+    // float-quotient path of the avx512 backend.
+    FheContextParams wide = smallParams();
+    wide.firstModulusBits = 59;
+    wide.scalingModulusBits = 59;
+    wide.specialModulusBits = 59;
+    FheContext wide_ctx(wide);
+    for (const FheContext *ctx :
+         std::initializer_list<const FheContext *>{&smallContext(),
+                                                   &wide_ctx}) {
+        KeyGenerator keygen(*ctx, 73);
+        Evaluator eval(*ctx, 74);
+        Rng rng(75);
+        std::vector<Cplx> z(ctx->n() / 2);
+        for (auto &v : z)
+            v = Cplx(rng.nextDouble() * 2 - 1, rng.nextDouble() * 2 - 1);
+        for (u32 level = 0; level <= ctx->maxLevel(); ++level) {
+            Plaintext pt = eval.decrypt(
+                eval.encryptSymmetric(eval.encoder().encode(z, level),
+                                      keygen.secretKey()),
+                keygen.secretKey());
+            auto got = eval.encoder().decode(pt);
+            auto want = referenceDecode(*ctx, pt);
+            ASSERT_EQ(got.size(), want.size());
+            for (u64 i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(std::bit_cast<u64>(got[i].real()),
+                          std::bit_cast<u64>(want[i].real()))
+                    << "level=" << level << " slot=" << i;
+                ASSERT_EQ(std::bit_cast<u64>(got[i].imag()),
+                          std::bit_cast<u64>(want[i].imag()))
+                    << "level=" << level << " slot=" << i;
+            }
+        }
+    }
 }
 
 }  // namespace

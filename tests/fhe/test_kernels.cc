@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <vector>
 
@@ -9,6 +10,8 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "fhe/bconv.h"
+#include "fhe/bsgs.h"
+#include "fhe/chebyshev.h"
 #include "fhe/ckks.h"
 #include "fhe/kernels/kernels.h"
 #include "fhe/ntt.h"
@@ -159,7 +162,9 @@ TEST(KernelElementwise, AllBackendsMatchNaiveArithmetic)
 {
     Rng rng(9010);
     const u64 n = 1003;  // odd: exercises the scalar tail of SIMD loops
-    for (u32 bits : {28u, 36u, 59u}) {
+    // 49/50 bits: the library's default moduli and the widest the avx512
+    // multiply's float-quotient path serves; 59 runs its Barrett path.
+    for (u32 bits : {28u, 36u, 49u, 50u, 59u}) {
         u64 q = generateNttPrimes(bits, 1 << 10, 1)[0];
         Modulus mod(q);
         kernels::BarrettView bv{q, mod.barrettLo(), mod.barrettHi()};
@@ -221,30 +226,36 @@ TEST(KernelElementwise, AllBackendsMatchNaiveArithmetic)
 TEST(KernelElementwise, EdgeResiduesZeroAndQMinusOne)
 {
     const u64 n = 16;
-    u64 q = generateNttPrimes(59, 1 << 10, 1)[0];
-    Modulus mod(q);
-    kernels::BarrettView bv{q, mod.barrettLo(), mod.barrettHi()};
+    // (q−1)² at 50 bits is the float-quotient path's largest product.
+    for (u32 bits : {50u, 59u}) {
+        u64 q = generateNttPrimes(bits, 1 << 10, 1)[0];
+        Modulus mod(q);
+        kernels::BarrettView bv{q, mod.barrettLo(), mod.barrettHi()};
 
-    std::vector<u64> a(n), b(n);
-    for (u64 i = 0; i < n; ++i) {
-        a[i] = (i % 2) ? q - 1 : 0;
-        b[i] = (i % 3) ? q - 1 : 0;
-    }
+        std::vector<u64> a(n), b(n);
+        for (u64 i = 0; i < n; ++i) {
+            a[i] = (i % 2) ? q - 1 : 0;
+            b[i] = (i % 3) ? q - 1 : 0;
+        }
 
-    for (kernels::Backend back : availableBackends()) {
-        const kernels::KernelTable &kt = tableFor(back);
-        std::vector<u64> d = a;
-        kt.addMod(d.data(), b.data(), n, q);
-        for (u64 i = 0; i < n; ++i)
-            EXPECT_EQ(d[i], (a[i] + b[i]) % q) << kt.name << " i=" << i;
-        d = a;
-        kt.mulModBarrett(d.data(), b.data(), n, bv);
-        for (u64 i = 0; i < n; ++i)
-            EXPECT_EQ(d[i], u64(u128(a[i]) * b[i] % q)) << kt.name;
-        d = a;
-        kt.negMod(d.data(), n, q);
-        for (u64 i = 0; i < n; ++i)
-            EXPECT_EQ(d[i], a[i] ? q - a[i] : 0) << kt.name;
+        for (kernels::Backend back : availableBackends()) {
+            const kernels::KernelTable &kt = tableFor(back);
+            std::vector<u64> d = a;
+            kt.addMod(d.data(), b.data(), n, q);
+            for (u64 i = 0; i < n; ++i)
+                EXPECT_EQ(d[i], (a[i] + b[i]) % q)
+                    << kt.name << " bits=" << bits << " i=" << i;
+            d = a;
+            kt.mulModBarrett(d.data(), b.data(), n, bv);
+            for (u64 i = 0; i < n; ++i)
+                EXPECT_EQ(d[i], u64(u128(a[i]) * b[i] % q))
+                    << kt.name << " bits=" << bits << " i=" << i;
+            d = a;
+            kt.negMod(d.data(), n, q);
+            for (u64 i = 0; i < n; ++i)
+                EXPECT_EQ(d[i], a[i] ? q - a[i] : 0)
+                    << kt.name << " bits=" << bits << " i=" << i;
+        }
     }
 }
 
@@ -457,6 +468,70 @@ TEST(KernelGolden, BootstrapScalePipelineMatchesSeedHashes)
         EXPECT_EQ(got[i], kGolden[i].hash)
             << kGolden[i].name << " diverged from the seed library on "
             << kernels::table().name;
+}
+
+TEST(KernelGolden, HybridMatVecThenHornerMatchesPinnedHash)
+{
+    // The composite half of the encrypted-inference op: a BSGS matvec
+    // (Hybrid, r=4, n1=8, n2=4) then a cubic Horner evaluation, as in
+    // examples/private_inference. The hash covers the limbs of both
+    // outputs and the bits of every decoded slot; it and the transform
+    // count were recorded at commit dc2f0bf, before the in-place
+    // accumulation, the one-shot CRT decode and the float-quotient
+    // multiply landed, on all three backends.
+    constexpr u64 kPinnedHash = 0xdaea248c8b46badaull;
+    constexpr u64 kPinnedLimbTransforms = 617;
+
+    const FheContext &ctx = smallContext();
+    const u32 n1 = 8, n2 = 4, r_hyb = 4;
+    const u64 dim = n1 * n2;
+    const u64 slots = ctx.n() / 2;
+    KeyGenerator keygen(ctx, 91);
+    PublicKey pk = keygen.makePublicKey();
+    KswKey rlk = keygen.makeRelinKey();
+    BsgsKeys keys;
+    for (i64 r : requiredRotations(n1, n2, RotStrategy::Hybrid, r_hyb))
+        keys.rot.emplace(r, keygen.makeRotationKey(r));
+    Evaluator eval(ctx, 92);
+
+    Rng rng(93);
+    std::vector<std::vector<double>> w(dim, std::vector<double>(dim));
+    for (auto &row : w)
+        for (auto &e : row)
+            e = rng.nextDouble() - 0.5;
+    std::vector<double> x(slots);
+    for (u64 i = 0; i < slots; ++i)
+        x[i] = i < dim ? rng.nextDouble() - 0.5 : x[i % dim];
+    auto diags = matrixDiagonals(w, slots);
+
+    const u64 transforms_before = nttLimbTransforms();
+    Ciphertext ct =
+        eval.encrypt(eval.encoder().encodeReal(x, ctx.maxLevel()), pk);
+    Ciphertext wx =
+        ptMatVecMult(eval, ct, diags, n1, n2, RotStrategy::Hybrid, r_hyb,
+                     keys);
+    Ciphertext y = evalPolyHorner(eval, wx, {0.5, 0.197, 0.0, -0.004}, rlk);
+    auto slots_out =
+        eval.encoder().decode(eval.decrypt(y, keygen.secretKey()));
+    const u64 transforms = nttLimbTransforms() - transforms_before;
+
+    u64 h = hashCt(wx);
+    h ^= hashCt(y) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+    for (const Cplx &v : slots_out) {
+        const u64 bits[2] = {std::bit_cast<u64>(v.real()),
+                             std::bit_cast<u64>(v.imag())};
+        h = fnv1a(h, bits, 2);
+    }
+    EXPECT_EQ(h, kPinnedHash) << "on " << kernels::table().name;
+    EXPECT_EQ(transforms, kPinnedLimbTransforms);
+
+    // Sanity: the pinned values decrypt to the plaintext computation.
+    auto wx_ref =
+        matVecRef(w, std::vector<double>(x.begin(), x.begin() + dim));
+    for (u64 i = 0; i < dim; ++i)
+        EXPECT_NEAR(slots_out[i].real(),
+                    evalPolyRef({0.5, 0.197, 0.0, -0.004}, wx_ref[i]), 1e-3)
+            << "slot " << i;
 }
 
 // ---------------------------------------------------------------------------

@@ -34,6 +34,11 @@ struct Event
  * Time-ordered event queue. Events pop in (when, insertion sequence)
  * order, so equal timestamps are served first-in first-out; the caller
  * dispatches each popped event itself.
+ *
+ * Wake-ups are kept per op: the heap holds one ticket per op (its
+ * earliest pending wake-up), and the op's later wake-ups wait in an
+ * unordered list. Once an op has nothing left to do, retire() drops all
+ * its pending wake-ups in one step instead of popping each of them.
  */
 class EventQueue
 {
@@ -41,29 +46,59 @@ class EventQueue
     /** Schedule a wake-up of @p op at @p when. */
     void schedule(SimTime when, u32 op);
 
-    /** True when no events remain. */
-    bool empty() const { return heap_.empty(); }
+    /** True when no wake-ups are pending. */
+    bool empty() const { return heap_.empty() && held_ == kNone; }
 
     /** Remove and return the earliest event; counts it as processed. */
     Event pop();
 
-    /** Events popped so far. */
+    /**
+     * Drop every pending wake-up of @p op and count each as processed
+     * (no-op when it has none). The caller retires an op once no
+     * wake-up of it can do anything.
+     */
+    void retire(u32 op);
+
+    /** Wake-ups popped or retired so far. */
     u64 processed() const { return processed_; }
 
     /**
-     * Periodically sample the queue depth as a trace counter while
-     * popping (null recorder = no work). Observation only; event order
-     * and timing are unaffected.
+     * Sample the pending wake-ups as a trace counter each time
+     * processed() crosses a multiple of 256 (null recorder = no work).
+     * Observation only; event order and timing are unaffected.
      */
     void attachTrace(telemetry::TraceRecorder *rec) { trace_ = rec; }
 
   private:
-    void sampleDepth(SimTime now) const;
+    /** A pending wake-up of a known op. */
+    struct Wake
+    {
+        SimTime when;
+        u64 seq;
+    };
 
-    /** 4-ary min-heap on (when, seq). */
+    /** No op (held_) or no heap slot (slot_). */
+    static constexpr u32 kNone = ~0u;
+
+    void place(std::size_t i, const Event &ev);
+    void siftUp(std::size_t i, const Event &ev);
+    void siftDown(std::size_t i, const Event &ev);
+    void removeTicket(std::size_t i);
+    void reticket();
+    void countProcessed(u64 n);
+
+    /** 4-ary min-heap on (when, seq) of each op's earliest wake-up. */
     std::vector<Event> heap_;
+    /** slot_[op]: heap index of op's ticket, or kNone. */
+    std::vector<u32> slot_;
+    /** later_[op]: op's other pending wake-ups, in no order. */
+    std::vector<std::vector<Wake>> later_;
+    /** The op popped last when it still has later wake-ups: they get a
+     *  ticket on the next pop unless the op is retired first. */
+    u32 held_ = kNone;
     u64 nextSeq_ = 0;
     u64 processed_ = 0;
+    SimTime lastPop_ = 0.0;
     telemetry::TraceRecorder *trace_ = nullptr;
 };
 

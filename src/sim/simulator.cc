@@ -139,7 +139,8 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
     // Issue op i's chunks from @p now until one waits on a dependency:
     // acquire memory inputs, NoC, then the PE group (or transpose unit).
     // Every chunk reserves its resources when issued, ahead of simulated
-    // time (DESIGN.md §4).
+    // time (DESIGN.md §4). An op with every chunk issued is retired: its
+    // pending wake-ups would find nothing to do.
     auto try_issue = [&](u32 i, SimTime now) {
         const auto &top = trace.ops[i];
         const auto &op = g.op(top.op);
@@ -182,6 +183,7 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
                     queue.schedule(done, j);
             }
         }
+        queue.retire(i);
     };
 
     // Seed all ops (those with deps will simply not issue yet).

@@ -2,6 +2,7 @@
 
 #include <random>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -67,8 +68,9 @@ TEST(EventQueue, HandlersCanScheduleMoreEvents)
 
 TEST(EventQueue, ProcessedCountsPopsAcrossDrains)
 {
-    // The counter is the simulator's sim.events: it counts popped events
-    // only and keeps counting when the queue is reused after draining.
+    // The counter is the simulator's sim.events: it counts popped (and
+    // retired) events and keeps counting when the queue is reused after
+    // draining.
     EventQueue q;
     EXPECT_EQ(q.processed(), 0u);
     q.schedule(1.0, 0);
@@ -111,6 +113,115 @@ TEST(EventQueue, MatchesASortedReferenceUnderRandomTraffic)
     }
     EXPECT_TRUE(pending.empty());
     EXPECT_EQ(q.processed(), pushed);
+}
+
+TEST(EventQueue, WakeUpEarlierThanItsOpsTicketPopsFirst)
+{
+    // Op 0's first wake-up is its ticket; a later push at an earlier time
+    // must take the ticket's place, ahead of op 1 in between.
+    EventQueue q;
+    q.schedule(5.0, 0);
+    q.schedule(4.0, 1);
+    q.schedule(3.0, 0);
+    q.schedule(5.0, 0);
+    std::vector<std::pair<SimTime, u32>> seen;
+    while (!q.empty()) {
+        const Event ev = q.pop();
+        seen.push_back({ev.when, ev.op});
+    }
+    EXPECT_EQ(seen, (std::vector<std::pair<SimTime, u32>>{
+                        {3.0, 0}, {4.0, 1}, {5.0, 0}, {5.0, 0}}));
+}
+
+TEST(EventQueue, RetireDropsEveryPendingWakeUpOfOneOp)
+{
+    EventQueue q;
+    q.retire(3);  // nothing pending, never scheduled: a no-op
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(q.processed(), 0u);
+    for (u32 k = 0; k < 4; ++k) {
+        q.schedule(1.0 + k, 0);
+        q.schedule(2.0 + k, 1);
+    }
+    // Op 0 has just popped; its three later wake-ups go with it.
+    EXPECT_EQ(q.pop().op, 0u);
+    q.retire(0);
+    EXPECT_EQ(q.processed(), 4u);
+    // Op 1 is retired from the heap without being popped.
+    q.retire(1);
+    EXPECT_EQ(q.processed(), 8u);
+    EXPECT_TRUE(q.empty());
+    q.retire(1);  // already retired
+    EXPECT_EQ(q.processed(), 8u);
+    // A retired op can be scheduled again.
+    q.schedule(9.0, 0);
+    EXPECT_FALSE(q.empty());
+    EXPECT_EQ(q.pop().when, 9.0);
+    EXPECT_EQ(q.processed(), 9u);
+}
+
+TEST(EventQueue, MatchesAReferenceUnderRandomTrafficAndRetirement)
+{
+    // Random pushes to 16 ops (about 8 pending wake-ups each, on average),
+    // pops that never go back in time, and retirements: usually of the
+    // op just popped, as in the simulator, otherwise of a random op.
+    // Every pop must be the reference's smallest live (when, seq).
+    constexpr u32 kOps = 16;
+    std::mt19937 rng(11);
+    EventQueue q;
+    using Wake = std::tuple<SimTime, u64, u32>;  // (when, seq, op)
+    std::set<Wake> live;
+    u64 pushed = 0;
+    u32 earlierThanTicket = 0;
+    u32 noOpRetires = 0;
+    SimTime now = 0.0;
+    u32 last = 0;
+    auto pendingOf = [&](u32 op) {
+        std::vector<Wake> out;
+        for (const Wake &w : live)
+            if (std::get<2>(w) == op)
+                out.push_back(w);
+        return out;
+    };
+    for (u32 step = 0; step < 40000; ++step) {
+        const u32 action = rng() % 32;
+        if (live.empty() || action < 20) {
+            const u32 op = rng() % kOps;
+            const SimTime when = now + static_cast<double>(rng() % 8);
+            const auto mine = pendingOf(op);
+            if (!mine.empty() && when < std::get<0>(mine.front()))
+                ++earlierThanTicket;
+            q.schedule(when, op);
+            live.insert({when, pushed++, op});
+        } else if (action < 31) {
+            const Event ev = q.pop();
+            ASSERT_EQ(std::make_tuple(ev.when, ev.seq, ev.op), *live.begin());
+            live.erase(live.begin());
+            now = ev.when;
+            last = ev.op;
+        } else {
+            const u32 op = rng() % 2 == 0 ? last : rng() % kOps;
+            const auto mine = pendingOf(op);
+            const u64 before = q.processed();
+            q.retire(op);
+            ASSERT_EQ(q.processed(), before + mine.size());
+            if (mine.empty())
+                ++noOpRetires;
+            for (const Wake &w : mine)
+                live.erase(w);
+        }
+        ASSERT_EQ(q.empty(), live.empty());
+    }
+    while (!q.empty()) {
+        const Event ev = q.pop();
+        ASSERT_EQ(ev.seq, std::get<1>(*live.begin()));
+        live.erase(live.begin());
+    }
+    EXPECT_TRUE(live.empty());
+    EXPECT_EQ(q.processed(), pushed);
+    // The traffic exercised both edge cases.
+    EXPECT_GT(earlierThanTicket, 0u);
+    EXPECT_GT(noOpRetires, 0u);
 }
 
 TEST(EventQueueDeath, RejectsNegativeTimesAndEmptyPops)

@@ -16,13 +16,18 @@
  * @file
  * Golden simulator statistics. Every statistic of a healthy (fault-free)
  * SimStats, for every segment of bootstrap, HELR and ResNet-20, is pinned
- * exactly on three schedule families: CROPHE-64 with Hybrid r=4 rotations, ARK+MAD, and CROPHE-64
- * with every NTT forced through the four-step rewrite (n1=256), which is
- * the only family that routes chunks through the transpose unit and
- * places ops right-to-left. Cycles and PE busy cycles are compared as
- * IEEE-754 bit patterns, so any change to event order, wake-up set,
- * placement or resource booking shows up here, not just in the
- * inequality checks of test_simulator.cc.
+ * exactly on five schedule families:
+ * - CROPHE-64 with Hybrid r=4 rotations (fused key switch);
+ * - ARK+MAD;
+ * - CROPHE-64 with every NTT forced through the four-step rewrite
+ *   (n1=256), the only family that routes chunks through the transpose
+ *   unit and places ops right-to-left;
+ * - CROPHE-36 with Hybrid r=4 rotations and the output-stationary and
+ *   reordered-ModUp key-switch dataflows, whose wake-ups are mostly
+ *   retired rather than dispatched.
+ * Cycles and PE busy cycles are compared as IEEE-754 bit patterns, so any
+ * change to event order, wake-up set, placement or resource booking shows
+ * up here, not just in the inequality checks of test_simulator.cc.
  */
 
 namespace crophe::sim {
@@ -173,10 +178,114 @@ const Golden kGolden[] = {
     {"CROPHE-64/nttdec", "resnet20", "boot-SlotToCoeff",
      0x4110bf5e1989554full, 8492u, 2614u, 32714u, 9043968u, 209580224u,
      53411840u, 0x41024a0a29f7154eull, 15728640u, 264503296u},
+    {"CROPHE-36/ostat", "bootstrap", "CoeffToSlot",
+     0x4129f6d022040604ull, 8840u, 4855u, 165769u, 75837440u, 672589632u,
+     361693184u, 0x4122f4bfb3bff17eull, 0u, 2171404288u},
+    {"CROPHE-36/ostat", "bootstrap", "EvalMod",
+     0x4107d649489eae1cull, 2013u, 569u, 47559u, 21694272u, 65993536u,
+     91422720u, 0x40fe1d27b600e31eull, 0u, 298713088u},
+    {"CROPHE-36/ostat", "bootstrap", "SlotToCoeff",
+     0x411762f87a25908eull, 8438u, 4470u, 74442u, 34214016u, 334620800u,
+     211877888u, 0x41139fd86e068a4full, 0u, 1001390080u},
+    {"CROPHE-36/ostat", "helr", "gradient-matvec",
+     0x4122c438a4114faaull, 25918u, 22390u, 94218u, 45158784u, 1093115200u,
+     368771072u, 0x412083bd0c5a63abull, 0u, 1925644288u},
+    {"CROPHE-36/ostat", "helr", "sigmoid",
+     0x40e287cab43fb2ecull, 1110u, 443u, 9477u, 4325568u, 16777024u, 13500416u,
+     0x40d7cd3c30da5379ull, 0u, 62652416u},
+    {"CROPHE-36/ostat", "helr", "weight-update",
+     0x40c880a75bd6b810ull, 261u, 189u, 4227u, 1966080u, 0u, 1966080u,
+     0x407dcdcdcdcdcdd3ull, 0u, 655360u},
+    {"CROPHE-36/ostat", "helr", "boot-CoeffToSlot",
+     0x4129f6d022040604ull, 8840u, 4855u, 165769u, 75837440u, 672589632u,
+     361693184u, 0x4122f4bfb3bff17eull, 0u, 2171404288u},
+    {"CROPHE-36/ostat", "helr", "boot-EvalMod",
+     0x4107d649489eae1cull, 2013u, 569u, 47559u, 21694272u, 65993536u,
+     91422720u, 0x40fe1d27b600e31eull, 0u, 298713088u},
+    {"CROPHE-36/ostat", "helr", "boot-SlotToCoeff",
+     0x411762f87a25908eull, 8438u, 4470u, 74442u, 34214016u, 334620800u,
+     211877888u, 0x41139fd86e068a4full, 0u, 1001390080u},
+    {"CROPHE-36/ostat", "resnet20", "conv-matmul",
+     0x4125a7dc7bfa9041ull, 31166u, 22454u, 100234u, 48177472u, 1162716608u,
+     473497600u, 0x412381b3c8629967ull, 0u, 2236153856u},
+    {"CROPHE-36/ostat", "resnet20", "relu-poly",
+     0x40e51ae239196a10ull, 1110u, 443u, 11461u, 5243072u, 18611776u, 16121856u,
+     0x40d6acadfca44a16ull, 0u, 72876032u},
+    {"CROPHE-36/ostat", "resnet20", "boot-CoeffToSlot",
+     0x4129f6d022040604ull, 8840u, 4855u, 165769u, 75837440u, 672589632u,
+     361693184u, 0x4122f4bfb3bff17eull, 0u, 2171404288u},
+    {"CROPHE-36/ostat", "resnet20", "boot-EvalMod",
+     0x4107d649489eae1cull, 2013u, 569u, 47559u, 21694272u, 65993536u,
+     91422720u, 0x40fe1d27b600e31eull, 0u, 298713088u},
+    {"CROPHE-36/ostat", "resnet20", "boot-SlotToCoeff",
+     0x411762f87a25908eull, 8438u, 4470u, 74442u, 34214016u, 334620800u,
+     211877888u, 0x41139fd86e068a4full, 0u, 1001390080u},
+    {"CROPHE-36/reordup", "bootstrap", "CoeffToSlot",
+     0x4129f9134b2b25caull, 8976u, 4854u, 165770u, 75837440u, 689104512u,
+     379518976u, 0x41229ca71047655bull, 0u, 2171404288u},
+    {"CROPHE-36/reordup", "bootstrap", "EvalMod",
+     0x4108bfef02204aa3ull, 1887u, 569u, 47559u, 21694272u, 60685440u,
+     81395712u, 0x40fc958b0ee38d19ull, 0u, 298713088u},
+    {"CROPHE-36/reordup", "bootstrap", "SlotToCoeff",
+     0x4116f6bcc8377799ull, 8578u, 4470u, 74442u, 34214016u, 338552704u,
+     220921856u, 0x41129b96503d50f0ull, 0u, 1001390080u},
+    {"CROPHE-36/reordup", "helr", "gradient-matvec",
+     0x4122c1a4a45c31b6ull, 29190u, 22326u, 94218u, 45158464u, 1067949888u,
+     408092672u, 0x411ed96da9a417b8ull, 0u, 1925644288u},
+    {"CROPHE-36/reordup", "helr", "sigmoid",
+     0x40e40d09a757929dull, 1754u, 442u, 9478u, 4325568u, 18873984u, 22413312u,
+     0x40d5ebb1b341ed7dull, 0u, 62652416u},
+    {"CROPHE-36/reordup", "helr", "weight-update",
+     0x40c880a75bd6b810ull, 261u, 189u, 4227u, 1966080u, 0u, 1966080u,
+     0x407dcdcdcdcdcdd3ull, 0u, 655360u},
+    {"CROPHE-36/reordup", "helr", "boot-CoeffToSlot",
+     0x4129f9134b2b25caull, 8976u, 4854u, 165770u, 75837440u, 689104512u,
+     379518976u, 0x41229ca71047655bull, 0u, 2171404288u},
+    {"CROPHE-36/reordup", "helr", "boot-EvalMod",
+     0x4108bfef02204aa3ull, 1887u, 569u, 47559u, 21694272u, 60685440u,
+     81395712u, 0x40fc958b0ee38d19ull, 0u, 298713088u},
+    {"CROPHE-36/reordup", "helr", "boot-SlotToCoeff",
+     0x4116f6bcc8377799ull, 8578u, 4470u, 74442u, 34214016u, 338552704u,
+     220921856u, 0x41129b96503d50f0ull, 0u, 1001390080u},
+    {"CROPHE-36/reordup", "resnet20", "conv-matmul",
+     0x4124e663b26a8a02ull, 29062u, 22454u, 100234u, 48177536u, 1232183168u,
+     460324864u, 0x4121555d75158389ull, 0u, 2236153856u},
+    {"CROPHE-36/reordup", "resnet20", "relu-poly",
+     0x40e65b42d44c09e0ull, 1562u, 443u, 11461u, 5243072u, 21232960u, 23068672u,
+     0x40d7c4d1a0cf893aull, 0u, 72876032u},
+    {"CROPHE-36/reordup", "resnet20", "boot-CoeffToSlot",
+     0x4129f9134b2b25caull, 8976u, 4854u, 165770u, 75837440u, 689104512u,
+     379518976u, 0x41229ca71047655bull, 0u, 2171404288u},
+    {"CROPHE-36/reordup", "resnet20", "boot-EvalMod",
+     0x4108bfef02204aa3ull, 1887u, 569u, 47559u, 21694272u, 60685440u,
+     81395712u, 0x40fc958b0ee38d19ull, 0u, 298713088u},
+    {"CROPHE-36/reordup", "resnet20", "boot-SlotToCoeff",
+     0x4116f6bcc8377799ull, 8578u, 4470u, 74442u, 34214016u, 338552704u,
+     220921856u, 0x41129b96503d50f0ull, 0u, 1001390080u},
 };
 // clang-format on
 
 constexpr const char *kNttDec = "CROPHE-64/nttdec";
+
+/** One golden family: a design, its key-switch dataflow, and whether
+ *  every NTT is forced through the four-step rewrite. */
+struct Family
+{
+    const char *label;
+    const char *design;
+    graph::KsDataflow ksDataflow;
+    bool forcedNttDecomp;
+};
+
+const Family kFamilies[] = {
+    {"CROPHE-64", "CROPHE-64", graph::KsDataflow::Fused, false},
+    {"ARK+MAD", "ARK+MAD", graph::KsDataflow::Fused, false},
+    {kNttDec, "CROPHE-64", graph::KsDataflow::Fused, true},
+    {"CROPHE-36/ostat", "CROPHE-36", graph::KsDataflow::OutputStationary,
+     false},
+    {"CROPHE-36/reordup", "CROPHE-36", graph::KsDataflow::ReorderedModUp,
+     false},
+};
 
 u64
 bitsOf(double v)
@@ -192,29 +301,29 @@ std::vector<Golden>
 simulateAll()
 {
     std::vector<Golden> out;
-    for (const char *design : {"CROPHE-64", "ARK+MAD", kNttDec}) {
-        const bool dec = std::strcmp(design, kNttDec) == 0;
-        baselines::DesignSpec d =
-            baselines::designByName(dec ? "CROPHE-64" : design);
+    for (const Family &f : kFamilies) {
+        baselines::DesignSpec d = baselines::designByName(f.design);
         sched::SchedOptions opt;
         graph::WorkloadOptions wopt;
         if (d.mad) {
             opt = sched::madOptions();
             wopt = sched::madWorkloadOptions();
         } else {
-            opt.nttDecomp = d.nttDecomp && !dec;
+            opt.nttDecomp = d.nttDecomp && !f.forcedNttDecomp;
             wopt.rotMode = graph::RotMode::Hybrid;
             wopt.rHyb = 4;
+            wopt.ksDataflow = f.ksDataflow;
         }
         for (const char *wl : {"bootstrap", "helr", "resnet20"}) {
             graph::Workload w = graph::buildWorkload(wl, d.params, wopt);
             for (const auto &seg : w.segments) {
                 graph::Graph g =
-                    dec ? sched::rewriteNttDecomposition(seg.graph, 256)
+                    f.forcedNttDecomp
+                        ? sched::rewriteNttDecomposition(seg.graph, 256)
                         : seg.graph;
                 sched::Schedule s = sched::scheduleGraph(g, d.cfg, opt);
                 SimStats st = simulateSchedule(s, d.cfg);
-                out.push_back({design, wl, seg.name,
+                out.push_back({f.label, wl, seg.name,
                                bitsOf(st.cycles), st.events,
                                st.dramRowHits, st.dramRowMisses,
                                st.dramWords, st.sramWords, st.nocWords,
@@ -266,6 +375,22 @@ TEST(SimGolden, ForcedNttDecompositionExercisesTheTransposeUnit)
         if (e.design == kNttDec)
             transposed += e.transposeWords;
     EXPECT_GT(transposed, 0u);
+}
+
+TEST(SimGolden, KeySwitchDataflowFamiliesPinDistinctSchedules)
+{
+    // Guards the table itself: if the dataflow option stopped reaching
+    // the workload builder, a re-pinned table would hold the same
+    // schedules twice under two names.
+    std::vector<u64> ostat, reordup;
+    for (const Golden &e : kGolden) {
+        if (e.design == "CROPHE-36/ostat")
+            ostat.push_back(e.cyclesBits);
+        if (e.design == "CROPHE-36/reordup")
+            reordup.push_back(e.cyclesBits);
+    }
+    EXPECT_FALSE(ostat.empty());
+    EXPECT_NE(ostat, reordup);
 }
 
 }  // namespace

@@ -30,8 +30,7 @@ dramWordsPerCycle(const hw::HwConfig &cfg)
 DramModel::DramModel(const hw::HwConfig &cfg)
     : wordsPerCycle_(dramWordsPerCycle(cfg)),
       rowMissPenalty_(40.0),
-      rowWords_(static_cast<u64>(2048.0 / cfg.wordBytes())),
-      channel_(wordsPerCycle_)
+      rowWords_(static_cast<u64>(2048.0 / cfg.wordBytes()))
 {
     for (auto &s : lastStream_)
         s = ~0u;
@@ -40,35 +39,9 @@ DramModel::DramModel(const hw::HwConfig &cfg)
 SimTime
 DramModel::access(SimTime ready, u64 words, u32 stream_id)
 {
-    if (words == 0)
-        return ready;
-    totalWords_ += words;
-
-    // A requester switch on its pseudo-channel closes the open rows;
-    // within a stream, accesses are sequential and hit open rows except
-    // at row boundaries. Crossing into a fresh row is always an
-    // activation: a continuing stream re-opens rows - 1 times (its first
-    // row is still open), a switching stream rows times, and every
-    // activation pays the row-miss penalty up front.
-    u32 ch = stream_id % kChannels;
-    u64 rows = std::max<u64>(1, ceilDiv(words, rowWords_));
-    bool row_hit = stream_id == lastStream_[ch];
-    u64 misses = row_hit ? rows - 1 : rows;
-    rowMisses_ += misses;
-    rowHits_ += rows - misses;
-    double latency = static_cast<double>(misses) * rowMissPenalty_;
-    if (faults_ != nullptr)
-        latency += faultLatency(ch);
-    lastStream_[ch] = stream_id;
-    SimTime done = channel_.serve(ready, static_cast<double>(words), latency);
-    if (trace_ != nullptr) {
-        recordBurst(ch, words, row_hit);
-        // Per-fault Perfetto instants, pinned to the burst they hit.
-        if (lastFault_ != nullptr) {
-            trace_->instant(lastFault_, channel_.lastStart());
-            lastFault_ = nullptr;
-        }
-    }
+    Run run(*this, words, stream_id);
+    const SimTime done = run.access<true>(ready);
+    run.commit();
     return done;
 }
 
@@ -119,16 +92,21 @@ DramModel::attachFaults(const fault::FaultInjector *faults)
 }
 
 void
-DramModel::recordBurst(u32 ch, u64 words, bool row_hit)
+DramModel::recordBurst(u32 ch, u64 words, bool row_hit, SimTime start,
+                       SimTime done)
 {
     if (chTrack_[ch] == 0)
         chTrack_[ch] = trace_->track("DRAM ch" + std::to_string(ch));
     // The shared channel server serializes all bursts, so per-channel
     // spans never overlap.
-    SimTime start = channel_.lastStart();
-    trace_->complete(chTrack_[ch], "burst", start, channel_.freeAt() - start,
+    trace_->complete(chTrack_[ch], "burst", start, done - start,
                      {{"words", static_cast<double>(words)},
                       {"rowHit", row_hit ? 1.0 : 0.0}});
+    // Per-fault Perfetto instants, pinned to the burst they hit.
+    if (lastFault_ != nullptr) {
+        trace_->instant(lastFault_, start);
+        lastFault_ = nullptr;
+    }
 }
 
 }  // namespace crophe::sim

@@ -26,21 +26,46 @@ void
 EventQueue::schedule(SimTime when, u32 op)
 {
     CROPHE_ASSERT(when >= 0.0, "negative event time");
+    add(op, {when, nextSeq_++, nullptr, 0, 0});
+}
+
+void
+EventQueue::scheduleRun(const SimTime *times, u32 n,
+                        std::span<const u32> ops)
+{
+    if (n == 0 || ops.empty())
+        return;
+    CROPHE_ASSERT(times[0] >= 0.0, "negative event time");
+    const u32 stride = static_cast<u32>(ops.size());
+    for (u32 k = 0; k < stride; ++k)
+        add(ops[k], {times[0], nextSeq_ + k, times + 1, n - 1, stride});
+    nextSeq_ += static_cast<u64>(n) * stride;
+}
+
+/** File @p w under @p op; its earliest wake-up may become the ticket. */
+void
+EventQueue::add(u32 op, Wakes w)
+{
     if (op >= slot_.size()) {
         slot_.resize(op + 1, kNone);
         later_.resize(op + 1);
     }
-    const Event ev{when, nextSeq_++, op};
     const u32 s = slot_[op];
     if (s == kNone && op != held_) {
+        const Event ev{w.when, w.seq, op};
+        if (w.advance())
+            later_[op].push_back(w);
         heap_.push_back(ev);
         siftUp(heap_.size() - 1, ev);
-    } else if (s != kNone && earlier(ev, heap_[s])) {
+    } else if (s != kNone && earlier(w, heap_[s])) {
         // Earlier than the op's ticket: it takes the ticket's place.
-        later_[op].push_back({heap_[s].when, heap_[s].seq});
+        later_[op].push_back({heap_[s].when, heap_[s].seq, nullptr, 0, 0});
+        const Event ev{w.when, w.seq, op};
+        if (w.advance())
+            later_[op].push_back(w);
         siftUp(s, ev);
     } else {
-        later_[op].push_back({ev.when, ev.seq});
+        later_[op].push_back(w);
     }
 }
 
@@ -65,7 +90,9 @@ EventQueue::retire(u32 op)
 {
     if (op >= slot_.size())
         return;
-    u64 dropped = later_[op].size();
+    u64 dropped = 0;
+    for (const Wakes &w : later_[op])
+        dropped += 1 + w.left;
     if (op == held_) {
         held_ = kNone;
     } else if (slot_[op] != kNone) {
@@ -139,14 +166,16 @@ EventQueue::reticket()
 {
     const u32 op = held_;
     held_ = kNone;
-    std::vector<Wake> &later = later_[op];
+    std::vector<Wakes> &later = later_[op];
     std::size_t best = 0;
     for (std::size_t k = 1; k < later.size(); ++k)
         if (earlier(later[k], later[best]))
             best = k;
     const Event ev{later[best].when, later[best].seq, op};
-    later[best] = later.back();
-    later.pop_back();
+    if (!later[best].advance()) {
+        later[best] = later.back();
+        later.pop_back();
+    }
     heap_.push_back(ev);
     siftUp(heap_.size() - 1, ev);
 }
@@ -159,17 +188,18 @@ EventQueue::countProcessed(u64 n)
     if (trace_ == nullptr ||
         (before >> kDepthSampleShift) == (processed_ >> kDepthSampleShift))
         return;
-    // Live wake-ups: tickets plus every op's later list.
+    // Live wake-ups: tickets plus every op's later wake-ups.
     u64 live = heap_.size();
     for (const auto &later : later_)
-        live += later.size();
+        for (const Wakes &w : later)
+            live += 1 + w.left;
     trace_->counter("events.queued", lastPop_, static_cast<double>(live));
 }
 
 void
-Server::recordSpan(SimTime start, double duration) const
+SpanTrack::emit(SimTime start, double duration) const
 {
-    trace_->complete(traceTrack_, traceName_, start, duration);
+    rec_->complete(track_, name_, start, duration);
 }
 
 }  // namespace crophe::sim

@@ -18,42 +18,38 @@ nocCapacity(const hw::HwConfig &cfg)
 
 }  // namespace
 
-NocModel::NocModel(const hw::HwConfig &cfg)
-    : capacity_(nocCapacity(cfg)), links_(capacity_)
-{
-}
+NocModel::NocModel(const hw::HwConfig &cfg) : capacity_(nocCapacity(cfg)) {}
 
 SimTime
 NocModel::transfer(SimTime ready, u64 words, u32 hops)
 {
-    if (words == 0)
-        return ready;
-    totalWords_ += words;
-    if (faults_ != nullptr) {
-        // Local draw counter: reroute decisions depend only on
-        // (seed, site, index) in deterministic simulated-event order.
-        u64 n = transferIndex_++;
-        if (faults_->nocLinkFailed(n)) {
-            ++faultReroutes_;
-            hops += faults_->plan().nocRerouteExtraHops;
-            CROPHE_WARN_EVERY_N(1000, "NoC link failure: rerouting with ",
-                                faults_->plan().nocRerouteExtraHops,
-                                " extra hop(s)");
-            if (trace_ != nullptr)
-                trace_->instant("noc reroute", ready);
-        }
-    }
-    // Hop latency is pipelined through the routers: it delays delivery
-    // but does not occupy link bandwidth.
-    return links_.serve(ready, static_cast<double>(words)) +
-           kHopLatency * hops;
+    Run run(*this, words, hops);
+    const SimTime done = run.transfer<true>(ready);
+    run.commit();
+    return done;
+}
+
+u32
+NocModel::detour(SimTime ready)
+{
+    // Local draw counter: reroute decisions depend only on
+    // (seed, site, index) in deterministic simulated-event order.
+    const u64 n = transferIndex_++;
+    if (!faults_->nocLinkFailed(n))
+        return 0;
+    ++faultReroutes_;
+    CROPHE_WARN_EVERY_N(1000, "NoC link failure: rerouting with ",
+                        faults_->plan().nocRerouteExtraHops,
+                        " extra hop(s)");
+    if (spans_.recorder() != nullptr)
+        spans_.recorder()->instant("noc reroute", ready);
+    return faults_->plan().nocRerouteExtraHops;
 }
 
 void
 NocModel::attachTrace(telemetry::TraceRecorder *rec)
 {
-    trace_ = rec;
-    links_.attachTrace(rec, rec->track("NoC"), "transfer");
+    spans_.attach(rec, rec->track("NoC"), "transfer");
 }
 
 void

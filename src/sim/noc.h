@@ -25,6 +25,50 @@ class NocModel
   public:
     explicit NocModel(const hw::HwConfig &cfg);
 
+    /**
+     * Back-to-back transfers of @p words each over @p hops mesh hops,
+     * booked on a copy of the links' frontier that commit() writes back.
+     * Nothing else may use the model between construction and commit().
+     */
+    class Run
+    {
+      public:
+        Run(NocModel &noc, u64 words, u32 hops)
+            : noc_(noc),
+              links_(noc.freeAt_, noc.totalWords_, &noc.spans_, words,
+                     static_cast<double>(words) / noc.capacity_),
+              hops_(hops),
+              hopLatency_(hopLatency(hops))
+        {
+        }
+
+        /**
+         * Book the next transfer, ready at @p ready; returns its delivery.
+         * With @p kHooks it also draws its link failure and records its
+         * span, when an injector or a recorder is attached.
+         */
+        template <bool kHooks>
+        SimTime
+        transfer(SimTime ready)
+        {
+            if (links_.words() == 0)
+                return ready;
+            double hop_latency = hopLatency_;
+            if constexpr (kHooks)
+                if (noc_.faults_ != nullptr)
+                    hop_latency = hopLatency(hops_ + noc_.detour(ready));
+            return links_.serve<kHooks>(ready) + hop_latency;
+        }
+
+        void commit() { links_.commit(); }
+
+      private:
+        NocModel &noc_;
+        FifoRun links_;
+        u32 hops_;
+        double hopLatency_;
+    };
+
     /** Transfer @p words over @p hops mesh hops starting at @p ready. */
     SimTime transfer(SimTime ready, u64 words, u32 hops);
 
@@ -34,7 +78,6 @@ class NocModel
     /** Inject @p faults into every subsequent transfer (null = healthy). */
     void attachFaults(const fault::FaultInjector *faults);
 
-    double busyCycles() const { return links_.busyCycles(); }
     u64 totalWords() const { return totalWords_; }
     double capacityWordsPerCycle() const { return capacity_; }
 
@@ -42,12 +85,19 @@ class NocModel
     u64 faultReroutes() const { return faultReroutes_; }
 
   private:
+    /** Hop latency is pipelined through the routers: it delays delivery
+     *  but does not occupy link bandwidth. */
+    static double hopLatency(u32 hops) { return kHopLatency * hops; }
+
     static constexpr double kHopLatency = 1.0;  ///< cycles per hop
 
+    /** Extra hops the fault plan adds to this transfer (counts them). */
+    u32 detour(SimTime ready);
+
     double capacity_;
-    Server links_;
+    SimTime freeAt_ = 0.0;
     u64 totalWords_ = 0;
-    telemetry::TraceRecorder *trace_ = nullptr;
+    SpanTrack spans_;
 
     const fault::FaultInjector *faults_ = nullptr;
     u64 transferIndex_ = 0;  ///< local draw counter (deterministic order)

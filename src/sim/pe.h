@@ -7,35 +7,35 @@
  * chunks in order, fully pipelined at the lane level (Section IV-A).
  */
 
-#include <vector>
-
-#include "hw/config.h"
-#include "map/trace.h"
 #include "sim/event_queue.h"
 
 namespace crophe::sim {
 
-/** The serial chunk executor for one operator's PE allocation. */
+/**
+ * The serial chunk executor for one operator's PE allocation. It is a
+ * small value: the simulator's issue loop copies it into a local for a
+ * run of chunks and stores it back afterwards.
+ */
 class PeGroup
 {
   public:
-    explicit PeGroup(const map::TraceOp &op) : op_(&op) {}
-
-    /** Execute chunk @p chunk once its inputs are ready at @p ready. */
-    SimTime
-    executeChunk(SimTime ready, u64 chunk)
+    explicit PeGroup(double compute_per_chunk) : compute_(compute_per_chunk)
     {
-        (void)chunk;
-        SimTime start = std::max(ready, freeAt_);
-        freeAt_ = start + op_->computePerChunk;
-        busy_ += op_->computePerChunk;
+    }
+
+    /** Execute the next chunk once its inputs are ready at @p ready. */
+    SimTime
+    executeChunk(SimTime ready)
+    {
+        bookFifo(freeAt_, ready, compute_);
+        busy_ += compute_;
         return freeAt_;
     }
 
     double busyCycles() const { return busy_; }
 
   private:
-    const map::TraceOp *op_;
+    double compute_;
     SimTime freeAt_ = 0.0;
     double busy_ = 0.0;
 };

@@ -22,7 +22,7 @@ sramWordsPerCycle(const hw::HwConfig &cfg)
 }  // namespace
 
 SramModel::SramModel(const hw::HwConfig &cfg)
-    : banks_(kBankEfficiency * sramWordsPerCycle(cfg)),
+    : wordsPerCycle_(kBankEfficiency * sramWordsPerCycle(cfg)),
       capacityWords_(cfg.sramWords())
 {
 }
@@ -30,16 +30,16 @@ SramModel::SramModel(const hw::HwConfig &cfg)
 SimTime
 SramModel::access(SimTime ready, u64 words)
 {
-    if (words == 0)
-        return ready;
-    totalWords_ += words;
-    return banks_.serve(ready, static_cast<double>(words));
+    FifoRun banks = run(words);
+    const SimTime done = banks.serve<true>(ready);
+    banks.commit();
+    return done;
 }
 
 void
 SramModel::attachTrace(telemetry::TraceRecorder *rec)
 {
-    banks_.attachTrace(rec, rec->track("SRAM banks"), "access");
+    spans_.attach(rec, rec->track("SRAM banks"), "access");
 }
 
 }  // namespace crophe::sim

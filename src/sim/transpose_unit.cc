@@ -1,35 +1,32 @@
 #include "sim/transpose_unit.h"
 
-#include "common/math_util.h"
+#include "common/logging.h"
 #include "telemetry/trace_recorder.h"
 
 namespace crophe::sim {
 
 TransposeUnit::TransposeUnit(const hw::HwConfig &cfg)
-    // Lane-wide read+write ports; Server panics on lanes == 0.
-    : port_(static_cast<double>(cfg.lanes)),
+    // Lane-wide read+write ports.
+    : rate_(static_cast<double>(cfg.lanes)),
       capacityWords_(static_cast<u64>(cfg.transposeMB * 1024.0 * 1024.0 /
                                       cfg.wordBytes()))
 {
+    CROPHE_ASSERT(cfg.lanes > 0, "transpose unit needs lanes > 0");
 }
 
 SimTime
 TransposeUnit::transpose(SimTime ready, u64 words)
 {
-    if (words == 0)
-        return ready;
-    totalWords_ += words;
-    // Tiles larger than the staging buffer stream through in passes:
-    // write a tile, read it transposed (2x the port traffic).
-    u64 tiles = std::max<u64>(1, ceilDiv(words, capacityWords_));
-    (void)tiles;
-    return port_.serve(ready, 2.0 * static_cast<double>(words));
+    FifoRun port = run(words);
+    const SimTime done = port.serve<true>(ready);
+    port.commit();
+    return done;
 }
 
 void
 TransposeUnit::attachTrace(telemetry::TraceRecorder *rec)
 {
-    port_.attachTrace(rec, rec->track("Transpose unit"), "transpose");
+    spans_.attach(rec, rec->track("Transpose unit"), "transpose");
 }
 
 }  // namespace crophe::sim

@@ -3,6 +3,8 @@
 #include <cstring>
 #include <utility>
 
+#include "sched/loopnest.h"
+
 namespace crophe::plan {
 
 void
@@ -288,14 +290,24 @@ writeSpatialGroup(const sched::SpatialGroup &sg, ByteWriter &w)
 bool
 readSpatialGroup(ByteReader &r, u32 n_ops, sched::SpatialGroup &sg)
 {
+    // Position of op @p id among the allocs read so far, or allocs.size()
+    // when absent. A group lists each op once.
+    auto position = [&sg](graph::OpId id) {
+        std::size_t k = 0;
+        while (k < sg.allocs.size() && sg.allocs[k].op != id)
+            ++k;
+        return k;
+    };
     u64 count;
     if (!r.getU64(count) || count > kMaxListLen)
         return false;
     sg.allocs.clear();
     for (u64 i = 0; i < count; ++i) {
         sched::OpAlloc a;
-        if (!r.getU32(a.op) || a.op >= n_ops || !r.getU32(a.pes) ||
-            !r.getU64(a.chunks))
+        if (!r.getU32(a.op) || a.op >= n_ops ||
+            position(a.op) < sg.allocs.size() || !r.getU32(a.pes) ||
+            !r.getU64(a.chunks) || a.chunks < 1 ||
+            a.chunks > sched::kMaxChunks)
             return false;
         sg.allocs.push_back(a);
     }
@@ -305,11 +317,15 @@ readSpatialGroup(ByteReader &r, u32 n_ops, sched::SpatialGroup &sg)
     for (u64 i = 0; i < count; ++i) {
         sched::EdgePlan e;
         u8 mode;
-        if (!r.getU32(e.from) || e.from >= n_ops || !r.getU32(e.to) ||
-            e.to >= n_ops || !r.getU8(mode) ||
+        if (!r.getU32(e.from) || !r.getU32(e.to) || !r.getU8(mode) ||
             mode > static_cast<u8>(sched::EdgeMode::Materialized) ||
             !r.getU64(e.volumeWords) || !r.getU64(e.granuleWords) ||
             !r.getU64(e.bufferWords))
+            return false;
+        // The simulator issues a group's ops in order, so every edge must
+        // run from an op of the group to a later one.
+        const std::size_t to = position(e.to);
+        if (to == sg.allocs.size() || position(e.from) >= to)
             return false;
         e.mode = static_cast<sched::EdgeMode>(mode);
         sg.internalEdges.push_back(e);

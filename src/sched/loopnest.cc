@@ -118,9 +118,9 @@ chunkCount(const Op &op, const hw::HwConfig &cfg)
         return 1;
     u64 granule = std::max<u64>(1, cfg.lanes);
     u64 chunks = ceilDiv(words, granule);
-    // Cap so discrete-event simulation stays tractable; latency fidelity
-    // at this granularity is unaffected (chunks remain >> pipeline depth).
-    return std::clamp<u64>(chunks, 1, 64);
+    // Cap so simulation stays cheap; latency fidelity at this granularity
+    // is unaffected (chunks remain >> pipeline depth).
+    return std::clamp<u64>(chunks, 1, kMaxChunks);
 }
 
 }  // namespace crophe::sched

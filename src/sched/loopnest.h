@@ -54,8 +54,14 @@ EdgePlan planEdge(const graph::Graph &g, graph::OpId from, graph::OpId to,
                   const hw::HwConfig &cfg);
 
 /**
+ * Most chunks an op is split into. The simulator books every chunk on
+ * each resource it touches, so the cap bounds its work per op.
+ */
+inline constexpr u64 kMaxChunks = 64;
+
+/**
  * Chunk count used to pipeline/simulate @p op: the number of granules its
- * output decomposes into, capped so event-driven simulation stays cheap.
+ * output decomposes into, in [1, kMaxChunks].
  */
 u64 chunkCount(const graph::Op &op, const hw::HwConfig &cfg);
 

@@ -21,7 +21,7 @@
 #include "common/math_util.h"
 #include "fault/fault_injector.h"
 #include "hw/config.h"
-#include "sim/event_queue.h"
+#include "sim/fifo.h"
 
 namespace crophe::sim {
 

@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "hw/config.h"
-#include "sim/event_queue.h"
+#include "sim/fifo.h"
 
 namespace crophe::telemetry {
 class StatsRegistry;

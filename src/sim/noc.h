@@ -15,7 +15,7 @@
 
 #include "fault/fault_injector.h"
 #include "hw/config.h"
-#include "sim/event_queue.h"
+#include "sim/fifo.h"
 
 namespace crophe::sim {
 

@@ -7,14 +7,14 @@
  * chunks in order, fully pipelined at the lane level (Section IV-A).
  */
 
-#include "sim/event_queue.h"
+#include "sim/fifo.h"
 
 namespace crophe::sim {
 
 /**
  * The serial chunk executor for one operator's PE allocation. It is a
- * small value: the simulator's issue loop copies it into a local for a
- * run of chunks and stores it back afterwards.
+ * small value: the simulator's issue loop keeps one in a local while it
+ * issues the operator's chunks.
  */
 class PeGroup
 {

@@ -4,9 +4,11 @@
 /**
  * @file
  * Cycle-level simulator (Section VI): consumes the mapper's traces and
- * drives chunk execution over PE groups, the mesh NoC, the banked global
- * buffer, the transpose unit, and the HBM model with a discrete-event
- * kernel. Group switching is fully synchronous, as in the hardware.
+ * books chunk execution on PE groups, the mesh NoC, the banked global
+ * buffer, the transpose unit, and the HBM model. Group switching is fully
+ * synchronous, as in the hardware, and a spatial group lists every
+ * producer before its consumers, so the simulator issues each group's ops
+ * once, in that order (DESIGN.md §4).
  */
 
 #include "graph/workloads.h"

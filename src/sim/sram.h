@@ -9,7 +9,7 @@
  */
 
 #include "hw/config.h"
-#include "sim/event_queue.h"
+#include "sim/fifo.h"
 
 namespace crophe::sim {
 

@@ -149,7 +149,7 @@ bootstrapFingerprint()
         os << name << ":" << seg.cycles << "|" << seg.dramWords << "\n";
 
     // Simulator stats dump (drives the DRAM/SRAM/NoC servers and the
-    // event queue) for every segment, accumulated into one registry.
+    // issue loop) for every segment, accumulated into one registry.
     telemetry::StatsRegistry reg;
     for (const auto &seg : w.segments) {
         sched::Schedule s = sched::scheduleGraph(seg.graph, cfg, opt);

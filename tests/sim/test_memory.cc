@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/dram.h"
+#include "sim/fifo.h"
 #include "sim/noc.h"
 #include "sim/sram.h"
 #include "sim/transpose_unit.h"
@@ -104,6 +105,31 @@ TEST(Transpose, RoundTripTraffic)
     EXPECT_GT(t, 0.0);
     EXPECT_EQ(tr.totalWords(), 1ull << 16);
     EXPECT_GT(tr.capacityWords(), 0u);
+}
+
+TEST(Server, FifoBandwidthSemantics)
+{
+    Server s(10.0);  // 10 units/cycle
+    EXPECT_DOUBLE_EQ(s.serve(0.0, 100.0), 10.0);
+    // Second request arrives early but queues behind the first.
+    EXPECT_DOUBLE_EQ(s.serve(5.0, 50.0), 15.0);
+    // Third arrives after the server idles.
+    EXPECT_DOUBLE_EQ(s.serve(20.0, 10.0), 21.0);
+    EXPECT_DOUBLE_EQ(s.busyCycles(), 16.0);
+}
+
+TEST(Server, FixedLatencyDelaysStart)
+{
+    Server s(1.0);
+    EXPECT_DOUBLE_EQ(s.serve(0.0, 1.0, 40.0), 41.0);
+}
+
+TEST(Server, NonPositiveRatePanicsAtConstruction)
+{
+    // A zero rate used to silently serve with duration 0 — infinite
+    // bandwidth. Degenerate rates must die loudly at construction.
+    EXPECT_DEATH(Server s(0.0), "rate must be positive");
+    EXPECT_DEATH(Server s(-1.0), "rate must be positive");
 }
 
 }  // namespace

@@ -30,11 +30,10 @@
  *   (n1=256), the only family that routes chunks through the transpose
  *   unit and places ops right-to-left;
  * - CROPHE-36 with Hybrid r=4 rotations and the output-stationary and
- *   reordered-ModUp key-switch dataflows, whose wake-ups are mostly
- *   retired rather than dispatched.
+ *   reordered-ModUp key-switch dataflows.
  * Cycles and PE busy cycles are compared as IEEE-754 bit patterns, so any
- * change to event order, wake-up set, placement or resource booking shows
- * up here, not just in the inequality checks of test_simulator.cc.
+ * change to issue order, placement or resource booking shows up here,
+ * not just in the inequality checks of test_simulator.cc.
  *
  * Two more pins cover the observed paths: the FNV-1a hash of a traced
  * run's JSON, and every statistic (fault counters included) of one
@@ -441,8 +440,8 @@ TEST(SimGolden, TracedRunIsPinned)
     // Two traced segments in one recorder: CROPHE-64 helr sigmoid records
     // DRAM, SRAM, NoC and PE spans, its four-step rewrite also records
     // transpose-unit spans. The hash covers every span, instant and
-    // counter sample (queue depth included) with its %.17g timestamps, so
-    // a dropped, added or reordered span shows up here.
+    // counter sample with its %.17g timestamps, so a dropped, added or
+    // reordered span shows up here.
     const hw::HwConfig cfg = hw::configCrophe64();
     telemetry::TraceRecorder rec;
     telemetry::SimTelemetry telem;
@@ -463,8 +462,8 @@ TEST(SimGolden, TracedRunIsPinned)
                                              "SRAM ", "Trans"}));
     std::ostringstream os;
     rec.writeJson(os);
-    EXPECT_EQ(rec.events().size(), 14612u);
-    EXPECT_EQ(fnv1a(os.str()), 0x437c35ced871118eull);
+    EXPECT_EQ(rec.events().size(), 14596u);
+    EXPECT_EQ(fnv1a(os.str()), 0x9225feac316c5599ull);
 }
 
 TEST(SimGolden, FaultedRunIsPinned)

@@ -118,5 +118,22 @@ TEST(Simulator, DramRowBehaviourIsTracked)
     EXPECT_GT(sim.dramRowMisses, sim.dramRowHits);
 }
 
+TEST(SimulatorDeath, RejectsAConsumerListedBeforeItsProducer)
+{
+    // The simulator issues a group's ops in their listed order, so a
+    // consumer listed first would read producer chunks not yet booked.
+    sched::Schedule s;
+    const graph::OpId in = s.graph.add(graph::makeInput(1 << 10, 4));
+    const graph::OpId mul = s.graph.add(
+        graph::makeEwBinary(graph::OpKind::EwMul, 1 << 10, 4));
+    s.graph.connect(in, mul);
+    sched::SpatialGroup group;
+    group.allocs = {{mul, 1, 4}, {in, 1, 4}};
+    group.internalEdges.push_back({in, mul});
+    s.sequence.emplace_back().groups.push_back(group);
+    EXPECT_DEATH(simulateSchedule(s, hw::configCrophe64()),
+                 "is listed before its producer");
+}
+
 }  // namespace
 }  // namespace crophe::sim

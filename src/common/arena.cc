@@ -83,15 +83,6 @@ ScratchArena::allocBytes(std::size_t bytes)
 }
 
 std::size_t
-ScratchArena::capacityBytes() const
-{
-    std::size_t total = 0;
-    for (const auto &b : blocks_)
-        total += b->buf.size();
-    return total;
-}
-
-std::size_t
 ScratchArena::usedBytes() const
 {
     std::size_t total = 0;

@@ -90,9 +90,6 @@ class ScratchArena
     /** A 64-byte-aligned allocation of @p bytes bytes (not zeroed). */
     void *allocBytes(std::size_t bytes);
 
-    /** Total bytes currently reserved across blocks (for tests). */
-    std::size_t capacityBytes() const;
-
     /** Bytes currently handed out (for tests). */
     std::size_t usedBytes() const;
 

@@ -5,12 +5,12 @@
  * @file
  * Recoverable error type for user-facing entry points.
  *
- * The logging layer draws a hard line: panic() is an internal invariant
- * violation (a CROPHE bug, aborts), fatal() an impossible request (exits).
- * Library entry points that validate *user input* — config names, fault
- * plans, degraded hardware configurations — must not tear the process
- * down: they throw RecoverableError so an embedding harness (or the CLI
- * main()) can report the problem and keep serving other requests.
+ * The logging layer's panic() is an internal invariant violation (a
+ * CROPHE bug) and aborts. Library entry points that validate *user
+ * input* — config names, fault plans, degraded hardware configurations —
+ * must not tear the process down: they throw RecoverableError so an
+ * embedding harness (or the CLI main()) can report the problem and keep
+ * serving other requests.
  */
 
 #include <stdexcept>

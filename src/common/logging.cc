@@ -15,24 +15,11 @@ setVerbose(bool verbose)
     g_verbose = verbose;
 }
 
-bool
-verbose()
-{
-    return g_verbose;
-}
-
 void
 panicImpl(const char *file, int line, const std::string &msg)
 {
     std::fprintf(stderr, "panic: %s\n  @ %s:%d\n", msg.c_str(), file, line);
     std::abort();
-}
-
-void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "fatal: %s\n  @ %s:%d\n", msg.c_str(), file, line);
-    std::exit(1);
 }
 
 void

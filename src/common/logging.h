@@ -6,8 +6,6 @@
  * gem5-style status/error reporting.
  *
  * panic()  — an internal invariant was violated (a CROPHE bug); aborts.
- * fatal()  — the user asked for something impossible (bad configuration);
- *            exits with an error code.
  * warn()   — something works but not as well as it should.
  * inform() — plain status output.
  *
@@ -25,13 +23,11 @@
 namespace crophe {
 
 [[noreturn]] void panicImpl(const char *file, int line, const std::string &msg);
-[[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
 /** Enable/disable inform() output (benchmarks silence it). */
 void setVerbose(bool verbose);
-bool verbose();
 
 namespace detail {
 
@@ -63,9 +59,6 @@ format(const Args &...args)
 
 #define CROPHE_PANIC(...) \
     ::crophe::panicImpl(__FILE__, __LINE__, ::crophe::detail::format(__VA_ARGS__))
-
-#define CROPHE_FATAL(...) \
-    ::crophe::fatalImpl(__FILE__, __LINE__, ::crophe::detail::format(__VA_ARGS__))
 
 #define CROPHE_WARN(...) \
     ::crophe::warnImpl(::crophe::detail::format(__VA_ARGS__))

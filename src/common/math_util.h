@@ -42,13 +42,6 @@ ceilDiv(u64 a, u64 b)
     return (a + b - 1) / b;
 }
 
-/** Round @p a up to the next multiple of @p b. */
-constexpr u64
-roundUp(u64 a, u64 b)
-{
-    return ceilDiv(a, b) * b;
-}
-
 /** Bit-reverse the low @p bits bits of @p x. */
 constexpr u64
 bitReverse(u64 x, u32 bits)

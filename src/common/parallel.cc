@@ -298,13 +298,4 @@ parallelFor(u64 begin, u64 end, const std::function<void(u64)> &fn)
     });
 }
 
-void
-parallelInvoke(const std::vector<std::function<void()>> &tasks)
-{
-    if (tasks.empty())
-        return;
-    ThreadPool::global().run(static_cast<u32>(tasks.size()),
-                             [&](u32 c) { tasks[c](); });
-}
-
 }  // namespace crophe

@@ -7,7 +7,7 @@
  *
  * A process-wide work-stealing thread pool executes fork-join batches:
  * parallelFor / parallelForRange split an index space into statically
- * chunked, disjoint ranges and parallelInvoke runs a fixed set of tasks.
+ * chunked, disjoint ranges.
  * Call sites own the determinism contract — every chunk writes only its
  * own slice of the output and reductions happen on the calling thread in
  * index order — so for any thread count (including 1) the results are
@@ -99,9 +99,6 @@ void parallelFor(u64 begin, u64 end, const std::function<void(u64)> &fn);
  */
 void parallelForRange(u64 begin, u64 end,
                       const std::function<void(u64, u64)> &fn);
-
-/** Run all tasks to completion (fork-join); exceptions as parallelFor. */
-void parallelInvoke(const std::vector<std::function<void()>> &tasks);
 
 }  // namespace crophe
 

@@ -47,9 +47,6 @@ class BaseConverter
     BaseConverter(const FheContext &ctx, std::vector<u32> from,
                   std::vector<u32> to);
 
-    const std::vector<u32> &fromBasis() const { return from_; }
-    const std::vector<u32> &toBasis() const { return to_; }
-
     /**
      * Convert a Coeff-representation polynomial over the source basis to
      * one over the target basis. The value of each coefficient, taken as

@@ -103,12 +103,6 @@ BigUInt::mulSmallInplace(u64 m)
 }
 
 BigUInt &
-BigUInt::addSmallInplace(u64 v)
-{
-    return addInplace(BigUInt(v));
-}
-
-BigUInt &
 BigUInt::addMulSmall(const BigUInt &a, u64 b)
 {
     BigUInt t = a;

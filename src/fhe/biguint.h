@@ -36,7 +36,6 @@ class BigUInt
     /** Requires *this >= other. */
     BigUInt &subInplace(const BigUInt &other);
     BigUInt &mulSmallInplace(u64 m);
-    BigUInt &addSmallInplace(u64 v);
 
     /** this += a * b. */
     BigUInt &addMulSmall(const BigUInt &a, u64 b);

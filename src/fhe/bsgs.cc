@@ -59,7 +59,7 @@ babySteps(const Evaluator &eval, const Ciphertext &ct, u32 n1,
       case RotStrategy::Hoisting: {
         // Functionally, hoisting produces each rotation from the original
         // ciphertext; the shared Decomp/ModUp is a cost-level property that
-        // the scheduler models (babyStepCost).
+        // the scheduler's graphs model (graph::RotMode::Hoisting).
         for (u32 i = 1; i < n1; ++i)
             out[i] = eval.rotate(ct, i, keys.rot.at(i));
         break;
@@ -208,26 +208,6 @@ ptMatVecMult(const Evaluator &eval, const Ciphertext &ct,
         out.a.addInplace(md_a);
     }
     return eval.rescale(out);
-}
-
-RotCost
-babyStepCost(u32 n1, RotStrategy strategy, u32 r_hyb)
-{
-    switch (strategy) {
-      case RotStrategy::MinKs:
-        return {n1 - 1, 1};
-      case RotStrategy::Hoisting:
-      case RotStrategy::TripleHoisted:
-        return {1, n1 - 1};
-      case RotStrategy::Hybrid: {
-        CROPHE_ASSERT(r_hyb >= 1 && r_hyb <= n1, "bad r_hyb ", r_hyb);
-        u32 coarse = ceilDiv(n1, r_hyb) - 1;
-        u32 pairs = coarse + (r_hyb > 1 ? 1 : 0);
-        u32 evk = (r_hyb - 1) + (coarse > 0 ? 1 : 0);
-        return {pairs, evk};
-      }
-    }
-    CROPHE_PANIC("unreachable");
 }
 
 }  // namespace crophe::fhe

@@ -87,19 +87,6 @@ std::vector<std::vector<double>> matrixDiagonals(
 std::vector<double> matVecRef(const std::vector<std::vector<double>> &m,
                               const std::vector<double> &x);
 
-/**
- * Operation-count accounting used by the scheduler tests: the number of
- * ModUp+ModDown pairs and distinct evks each strategy needs for n1 baby
- * steps (Section V-C).
- */
-struct RotCost
-{
-    u32 modUpDown;   ///< key-switching ModUp/ModDown pairs
-    u32 distinctEvk; ///< distinct evaluation keys touched
-};
-
-RotCost babyStepCost(u32 n1, RotStrategy strategy, u32 r_hyb);
-
 }  // namespace crophe::fhe
 
 #endif  // CROPHE_FHE_BSGS_H_

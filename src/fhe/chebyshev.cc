@@ -1,7 +1,5 @@
 #include "fhe/chebyshev.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace crophe::fhe {
@@ -28,21 +26,6 @@ evalPolyHorner(const Evaluator &eval, const Ciphertext &x,
         acc = eval.addConst(acc, coeffs[i]);
     }
     return acc;
-}
-
-std::vector<double>
-cosineMonomialCoeffs(double t, u32 degree)
-{
-    // cos(t·x) = sum_k (-1)^k (t·x)^{2k} / (2k)!  truncated at @p degree.
-    std::vector<double> coeffs(degree + 1, 0.0);
-    double term = 1.0;  // t^{2k} / (2k)!
-    int sign = 1;
-    for (u32 k = 0; 2 * k <= degree; ++k) {
-        coeffs[2 * k] = sign * term;
-        sign = -sign;
-        term *= t * t / ((2.0 * k + 1.0) * (2.0 * k + 2.0));
-    }
-    return coeffs;
 }
 
 double

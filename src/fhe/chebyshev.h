@@ -23,14 +23,6 @@ Ciphertext evalPolyHorner(const Evaluator &eval, const Ciphertext &x,
                           const std::vector<double> &coeffs,
                           const KswKey &rlk);
 
-/**
- * Chebyshev series coefficients for cos(t·x) on [-1, 1], degree @p degree —
- * the kernel of EvalMod's sine approximation. Returned in the monomial
- * basis (suitable for evalPolyHorner); degrees beyond ~16 are not
- * recommended in the monomial basis for numerical reasons.
- */
-std::vector<double> cosineMonomialCoeffs(double t, u32 degree);
-
 /** Plain reference evaluation of a monomial-basis polynomial. */
 double evalPolyRef(const std::vector<double> &coeffs, double x);
 

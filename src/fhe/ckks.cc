@@ -67,27 +67,6 @@ Evaluator::encrypt(const Plaintext &pt, const PublicKey &pk)
     return ct;
 }
 
-Ciphertext
-Evaluator::encryptSymmetric(const Plaintext &pt, const SecretKey &sk)
-{
-    auto basis = ctx_->qBasis(pt.level);
-    Ciphertext ct;
-    ct.scale = pt.scale;
-    ct.level = pt.level;
-    ct.a = RnsPoly(*ctx_, basis, Rep::Eval);
-    ct.a.uniformRandom(rng_);
-    RnsPoly e = sampleSigned(*ctx_, basis, rng_, false);
-    e.toEval();
-
-    RnsPoly s_q = sk.s.restrictedTo(basis);
-    ct.b = ct.a;
-    ct.b.mulEwInplace(s_q);
-    ct.b.negateInplace();
-    ct.b.addInplace(e);
-    ct.b.addInplace(pt.poly);
-    return ct;
-}
-
 Plaintext
 Evaluator::decrypt(const Ciphertext &ct, const SecretKey &sk) const
 {
@@ -118,16 +97,6 @@ Evaluator::addInplace(Ciphertext &c0, const Ciphertext &c1) const
                   "HAdd scale mismatch: ", c0.scale, " vs ", c1.scale);
     c0.b.addInplace(c1.b);
     c0.a.addInplace(c1.a);
-}
-
-Ciphertext
-Evaluator::sub(const Ciphertext &c0, const Ciphertext &c1) const
-{
-    CROPHE_ASSERT(c0.level == c1.level, "HSub level mismatch");
-    Ciphertext out = c0;
-    out.b.subInplace(c1.b);
-    out.a.subInplace(c1.a);
-    return out;
 }
 
 Ciphertext

@@ -41,16 +41,12 @@ class Evaluator
     /** Public-key encryption of a plaintext. */
     Ciphertext encrypt(const Plaintext &pt, const PublicKey &pk);
 
-    /** Symmetric encryption (fresh, lower-noise; used by tests). */
-    Ciphertext encryptSymmetric(const Plaintext &pt, const SecretKey &sk);
-
     /** Decryption: m = b + a·s. */
     Plaintext decrypt(const Ciphertext &ct, const SecretKey &sk) const;
 
     Ciphertext add(const Ciphertext &c0, const Ciphertext &c1) const;
     /** c0 += c1, with add()'s level and scale checks. */
     void addInplace(Ciphertext &c0, const Ciphertext &c1) const;
-    Ciphertext sub(const Ciphertext &c0, const Ciphertext &c1) const;
 
     /** Add an encoded plaintext (PAdd); scales must match. */
     Ciphertext addPlain(const Ciphertext &ct, const Plaintext &pt) const;

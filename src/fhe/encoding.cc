@@ -1,6 +1,5 @@
 #include "fhe/encoding.h"
 
-#include <algorithm>
 #include <cmath>
 #include <span>
 
@@ -81,20 +80,6 @@ Encoder::encodeReal(const std::vector<double> &values, u32 level,
     for (std::size_t i = 0; i < values.size(); ++i)
         v[i] = Cplx(values[i], 0.0);
     return encode(v, level, scale);
-}
-
-Plaintext
-Encoder::encodeCoeffs(const std::vector<double> &coeffs, u32 level,
-                      double scale) const
-{
-    Plaintext pt;
-    pt.scale = scale;
-    pt.level = level;
-    pt.poly = RnsPoly(*ctx_, ctx_->qBasis(level), Rep::Coeff);
-    setSignedCoeffs(pt.poly, std::span<const double>(coeffs).first(
-                                 std::min<u64>(coeffs.size(), ctx_->n())));
-    pt.poly.toEval();
-    return pt;
 }
 
 std::vector<Cplx>

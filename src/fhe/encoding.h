@@ -49,13 +49,6 @@ class Encoder
     /** Decode back to N/2 complex slots. */
     std::vector<Cplx> decode(const Plaintext &pt) const;
 
-    /**
-     * Encode signed integer coefficients (already scaled) directly;
-     * used by tests and by key-switching constants.
-     */
-    Plaintext encodeCoeffs(const std::vector<double> &coeffs, u32 level,
-                           double scale) const;
-
   private:
     const FheContext *ctx_;
     SpecialFft fft_;

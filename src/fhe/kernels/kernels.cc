@@ -167,16 +167,6 @@ requestBackend(Backend b)
     setBackend(b);
 }
 
-bool
-setBackendByName(const std::string &name)
-{
-    Backend b;
-    if (!parseName(name, &b))
-        return false;
-    requestBackend(b);
-    return true;
-}
-
 void
 fwdNttBatched(const KernelTable &kt, u64 *const *polys, u64 count,
               const NttView &t, u64 tile)

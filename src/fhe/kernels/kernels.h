@@ -16,13 +16,13 @@
  *   - avx512:  8-wide 512-bit kernels (AVX-512F + DQ).
  *
  * The active backend is chosen once per process: an explicit
- * setBackend()/setBackendByName() call (the --kernel flag) wins, then
- * the CROPHE_KERNEL environment variable, then the widest ISA the host
- * supports. Every backend is bit-identical: all kernels produce
- * canonical (fully reduced) outputs, lazy reduction is an internal
- * invariant only, and the BConv float-quotient estimate performs its
- * additions in a fixed order with contraction pinned off — so switching
- * backends, or machines, never changes a single limb.
+ * setBackend() call, or parseBackend() + requestBackend() (the --kernel
+ * flag), wins, then the CROPHE_KERNEL environment variable, then the
+ * widest ISA the host supports. Every backend is bit-identical: all
+ * kernels produce canonical (fully reduced) outputs, lazy reduction is an
+ * internal invariant only, and the BConv float-quotient estimate performs
+ * its additions in a fixed order with contraction pinned off — so
+ * switching backends, or machines, never changes a single limb.
  *
  * Values are u64 residues below 2^60 moduli, which leaves the headroom
  * the lazy NTT needs ([0,4q) fits in 62 bits) and lets comparisons use
@@ -181,12 +181,6 @@ Backend parseBackend(const std::string &name);
  * an explicit avx512 request degrades gracefully on older hosts).
  */
 void requestBackend(Backend b);
-
-/**
- * Select by name; unknown names return false (legacy shim over
- * parseBackend() + requestBackend(), kept for string-typed callers).
- */
-bool setBackendByName(const std::string &name);
 
 const char *backendName(Backend b);
 

@@ -6,17 +6,6 @@
 
 namespace crophe::fhe {
 
-u64
-KswKey::sizeWords() const
-{
-    u64 words = 0;
-    for (const auto &poly : b)
-        words += static_cast<u64>(poly.limbCount()) * poly.n();
-    for (const auto &poly : a)
-        words += static_cast<u64>(poly.limbCount()) * poly.n();
-    return words;
-}
-
 KeyGenerator::KeyGenerator(const FheContext &ctx, u64 seed)
     : ctx_(&ctx), rng_(seed)
 {

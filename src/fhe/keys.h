@@ -40,9 +40,6 @@ struct KswKey
     std::vector<RnsPoly> a;  ///< a[j] for digit j
 
     u32 digitCount() const { return static_cast<u32>(b.size()); }
-
-    /** Total size of this key in machine words (2·dnum·(α+L+1)·N). */
-    u64 sizeWords() const;
 };
 
 /** Generates all key material from a seeded RNG. */

@@ -1,7 +1,5 @@
 #include "fhe/modarith.h"
 
-#include "common/math_util.h"
-
 namespace crophe::fhe {
 
 namespace {
@@ -25,12 +23,6 @@ Modulus::Modulus(u64 q) : q_(q)
     CROPHE_ASSERT(q > 2 && q < (1ULL << 60) && (q & 1) == 1,
                   "modulus out of range: ", q);
     barrettRatio(q, ratio1_, ratio0_);
-}
-
-u32
-Modulus::bits() const
-{
-    return log2Floor(q_) + 1;
 }
 
 u64

@@ -32,7 +32,6 @@ class Modulus
     explicit Modulus(u64 q);
 
     u64 value() const { return q_; }
-    u32 bits() const;
 
     /** Low word of floor(2^128 / q) (kernel BarrettView plumbing). */
     u64 barrettLo() const { return ratio0_; }

@@ -21,12 +21,6 @@ nttLimbTransforms()
     return g_limb_transforms.load(std::memory_order_relaxed);
 }
 
-void
-resetNttLimbTransforms()
-{
-    g_limb_transforms.store(0, std::memory_order_relaxed);
-}
-
 namespace {
 
 /** Canonical Shoup product (a < q, w < q, ws = floor(w·2^64/q)). */

@@ -36,7 +36,6 @@ namespace crophe::fhe {
  * accounting (DESIGN.md §15), not a synchronization point. @{
  */
 u64 nttLimbTransforms();
-void resetNttLimbTransforms();
 /** @} */
 
 /**

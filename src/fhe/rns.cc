@@ -171,18 +171,6 @@ RnsPoly::addInplace(const RnsPoly &other)
 }
 
 void
-RnsPoly::subInplace(const RnsPoly &other)
-{
-    CROPHE_ASSERT(basis_ == other.basis_ && rep_ == other.rep_,
-                  "basis/representation mismatch in sub");
-    const auto &kt = kernels::table();
-    parallelFor(0, limbCount(), [&](u64 i) {
-        kt.subMod(limb(i).data(), other.limb(i).data(), n(),
-                  mod(i).value());
-    });
-}
-
-void
 RnsPoly::negateInplace()
 {
     const auto &kt = kernels::table();
@@ -264,14 +252,6 @@ RnsPoly::toCoeff()
     parallelFor(0, limbCount(),
                 [&](u64 i) { ctx_->ntt(basis_[i]).inverse(limb(i).data()); });
     rep_ = Rep::Coeff;
-}
-
-void
-RnsPoly::dropLastLimb()
-{
-    CROPHE_ASSERT(limbCount() > 1, "cannot drop the only limb");
-    // O(1): the slab keeps its storage; only the logical row count drops.
-    basis_.pop_back();
 }
 
 RnsPoly

@@ -90,8 +90,6 @@ class FheContext
     /** q basis up to @p level followed by the p basis. */
     std::vector<u32> qpBasis(u32 level) const;
 
-    /** Digit index of q-limb @p i (i / α). */
-    u32 digitOf(u32 i) const { return i / alpha_; }
     /** q-limb indices of digit @p j at ciphertext level @p level. */
     std::vector<u32> digitLimbs(u32 j, u32 level) const;
     /** Number of digits spanned by limbs 0…level (β = ceil((ℓ+1)/α)). */
@@ -155,11 +153,9 @@ class RnsPoly
     const FheContext &context() const { return *ctx_; }
     u64 n() const { return ctx_->n(); }
     Rep rep() const { return rep_; }
-    void setRep(Rep rep) { rep_ = rep; }
 
     u32 limbCount() const { return static_cast<u32>(basis_.size()); }
     const std::vector<u32> &basis() const { return basis_; }
-    u32 modIndex(u32 limb) const { return basis_[limb]; }
     const Modulus &mod(u32 limb) const { return ctx_->mod(basis_[limb]); }
 
     /** Row i of the limb matrix (N elements, 64-byte-aligned start). */
@@ -190,8 +186,6 @@ class RnsPoly
 
     /** this += other (same basis, same representation). */
     void addInplace(const RnsPoly &other);
-    /** this -= other (same basis, same representation). */
-    void subInplace(const RnsPoly &other);
     /** this = -this. */
     void negateInplace();
     /** this *= other element-wise; both must be in Eval representation. */
@@ -214,9 +208,6 @@ class RnsPoly
     void toEval();
     /** Convert all limbs Eval -> Coeff. */
     void toCoeff();
-
-    /** Drop the last limb (used by rescale/level drop bookkeeping). */
-    void dropLastLimb();
 
     /** Keep only the limbs whose basis entry is within the q range ≤ level. */
     RnsPoly restrictedTo(const std::vector<u32> &basis) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -29,20 +28,20 @@ Graph::connect(OpId from, OpId to)
     pred_[to].push_back(from);
 }
 
-const char *
-Graph::edgeListsError(const std::vector<std::vector<OpId>> &succ,
-                      const std::vector<std::vector<OpId>> &pred) const
+bool
+Graph::tryRestoreEdges(std::vector<std::vector<OpId>> &&succ,
+                       std::vector<std::vector<OpId>> &&pred)
 {
     const std::size_t n = ops_.size();
     if (succ.size() != n || pred.size() != n)
-        return "adjacency lists must cover every node";
+        return false;
     // Bucket the successor edges by head (CSR, tails ascending), then
     // compare each head's bucket with its sorted predecessor list.
     std::vector<u32> start(n + 1, 0);
     for (OpId v = 0; v < n; ++v) {
         for (OpId w : succ[v]) {
             if (w >= n || w == v)
-                return "bad successor edge";
+                return false;
             ++start[w + 1];
         }
     }
@@ -58,36 +57,17 @@ Graph::edgeListsError(const std::vector<std::vector<OpId>> &succ,
     for (OpId w = 0; w < n; ++w) {
         for (OpId v : pred[w])
             if (v >= n || v == w)
-                return "bad predecessor edge";
+                return false;
         sorted.assign(pred[w].begin(), pred[w].end());
         std::sort(sorted.begin(), sorted.end());
         if (!std::equal(sorted.begin(), sorted.end(),
                         tails.begin() + start[w],
                         tails.begin() + start[w + 1]))
-            return "succ/pred lists disagree";
+            return false;
     }
-    return nullptr;
-}
-
-bool
-Graph::tryRestoreEdges(std::vector<std::vector<OpId>> &&succ,
-                       std::vector<std::vector<OpId>> &&pred)
-{
-    if (edgeListsError(succ, pred) != nullptr)
-        return false;
     succ_ = std::move(succ);
     pred_ = std::move(pred);
     return true;
-}
-
-void
-Graph::restoreEdges(std::vector<std::vector<OpId>> succ,
-                    std::vector<std::vector<OpId>> pred)
-{
-    const char *error = edgeListsError(succ, pred);
-    CROPHE_ASSERT(error == nullptr, error);
-    succ_ = std::move(succ);
-    pred_ = std::move(pred);
 }
 
 std::vector<OpId>
@@ -257,25 +237,6 @@ Graph::inducedSubgraph(const std::vector<OpId> &nodes) const
         }
     }
     return sub;
-}
-
-std::string
-Graph::toString() const
-{
-    std::ostringstream os;
-    for (OpId v : topoOrder()) {
-        const Op &op = ops_[v];
-        os << v << ": " << op.label << " [" << opKindName(op.kind) << " l="
-           << op.limbsIn << "->" << op.limbsOut << " flops=" << op.flops
-           << "]";
-        if (!succ_[v].empty()) {
-            os << " ->";
-            for (OpId w : succ_[v])
-                os << " " << w;
-        }
-        os << "\n";
-    }
-    return os.str();
 }
 
 }  // namespace crophe::graph

@@ -103,10 +103,6 @@ class Graph
     [[nodiscard]] bool tryRestoreEdges(std::vector<std::vector<OpId>> &&succ,
                                        std::vector<std::vector<OpId>> &&pred);
 
-    /** tryRestoreEdges for in-process callers: panics on bad lists. */
-    void restoreEdges(std::vector<std::vector<OpId>> succ,
-                      std::vector<std::vector<OpId>> pred);
-
     u32 size() const { return static_cast<u32>(ops_.size()); }
     const Op &op(OpId id) const { return ops_[id]; }
     Op &op(OpId id) { return ops_[id]; }
@@ -153,16 +149,7 @@ class Graph
      */
     Graph inducedSubgraph(const std::vector<OpId> &nodes) const;
 
-    /** Human-readable dump (for examples and debugging). */
-    std::string toString() const;
-
   private:
-    /** Why @p succ / @p pred cannot be this graph's adjacency lists, or
-     *  null when they can (see tryRestoreEdges). */
-    const char *edgeListsError(const std::vector<std::vector<OpId>> &succ,
-                               const std::vector<std::vector<OpId>> &pred)
-        const;
-
     std::vector<Op> ops_;
     std::vector<std::vector<OpId>> succ_;
     std::vector<std::vector<OpId>> pred_;

@@ -1,7 +1,5 @@
 #include "graph/op.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/math_util.h"
 
@@ -63,13 +61,6 @@ Op::isElementwise() const
       default:
         return false;
     }
-}
-
-bool
-Op::canStream(StreamAxis axis) const
-{
-    return std::find(streamAxes.begin(), streamAxes.end(), axis) !=
-           streamAxes.end();
 }
 
 namespace {

@@ -97,7 +97,6 @@ struct Op
 
     bool isTransform() const;
     bool isElementwise() const;
-    bool canStream(StreamAxis axis) const;
 };
 
 /**

@@ -93,7 +93,7 @@ HwConfig configByName(const std::string &name);
  * buffers from. Throws crophe::RecoverableError listing the first
  * problem — user-facing entry points (scheduleWorkload, simulateWorkload)
  * call this so an invalid (e.g. over-degraded) configuration is reported
- * instead of aborting deep inside a model with panic()/fatal().
+ * instead of aborting deep inside a model with panic().
  */
 void validateConfig(const HwConfig &cfg);
 

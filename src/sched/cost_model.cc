@@ -10,7 +10,7 @@ namespace crophe::sched {
 WorkloadResult
 aggregateWorkload(const graph::Workload &w, const hw::HwConfig &cfg,
                   const std::vector<Schedule> &segment_schedules,
-                  u32 clusters, bool share_aux)
+                  u32 clusters)
 {
     CROPHE_ASSERT(segment_schedules.size() == w.segments.size(),
                   "one schedule per segment required");
@@ -36,7 +36,6 @@ aggregateWorkload(const graph::Workload &w, const hw::HwConfig &cfg,
         // constants streamed cold/thrashing are multicast to all of them
         // (CROPHE-p, Section VII-A), so aux is charged per *round*.
         u64 rounds = ceilDiv(reps, clusters);
-        u64 aux_rounds = share_aux ? rounds : reps;
 
         SchedStats st;
         st.flops = cold.flops * reps;
@@ -44,7 +43,7 @@ aggregateWorkload(const graph::Workload &w, const hw::HwConfig &cfg,
         st.nocWords = cold.nocWords * reps;
         st.auxDramWords =
             cold.auxDramWords +
-            (aux_rounds > 0 ? aux_rounds - 1 : 0) * warm.auxDramWords;
+            (rounds > 0 ? rounds - 1 : 0) * warm.auxDramWords;
         st.dramWords = st.auxDramWords + warm_nonaux * (reps - 1) +
                        (cold.dramWords - cold.auxDramWords);
 

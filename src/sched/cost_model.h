@@ -41,13 +41,11 @@ struct WorkloadResult
  *
  * With @p clusters > 1 (CROPHE-p), each cluster (scheduled on numPes /
  * clusters) runs a different repetition in data-parallel fashion, and the
- * aux constants (evks) are fetched once per co-running set when
- * @p share_aux is set.
+ * aux constants (evks) are fetched once per co-running set.
  */
 WorkloadResult aggregateWorkload(
     const graph::Workload &w, const hw::HwConfig &cfg,
-    const std::vector<Schedule> &segment_schedules, u32 clusters,
-    bool share_aux);
+    const std::vector<Schedule> &segment_schedules, u32 clusters);
 
 /** Fill the utilization fields of @p stats for hardware @p cfg. */
 void fillUtilization(SchedStats &stats, const hw::HwConfig &cfg);

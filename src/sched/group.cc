@@ -36,7 +36,6 @@ optionsDigest(const SchedOptions &opt)
     mix(opt.nttDecomp ? 1 : 0);
     mix(opt.maxGroupOps);
     mix(opt.clusters);
-    mix(opt.shareAuxAcrossClusters ? 1 : 0);
     // pruneSearch provably does not change the chosen schedule (the bound
     // is admissible, DESIGN.md §8), but it stays in the key as insurance:
     // a future inexact bound must never validate against exact-search

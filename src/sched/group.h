@@ -39,8 +39,6 @@ struct SchedOptions
     u32 maxGroupOps = 10;
     /** Data-parallel clusters (CROPHE-p); 1 = whole-chip scheduling. */
     u32 clusters = 1;
-    /** Share aux constants (evks) across clusters in CROPHE-p. */
-    bool shareAuxAcrossClusters = true;
     /**
      * Branch-and-bound pruning of the DP cover search (DESIGN.md §8). The
      * bound is admissible, so the chosen schedule is bit-identical to the

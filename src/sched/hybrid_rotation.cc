@@ -174,13 +174,8 @@ chooseRotationScheme(const std::string &workload,
 
     for (u64 i = 0; i < cands.size(); ++i) {
         WorkloadResult &res = *results[i];
-        if (opt.search != nullptr) {
-            std::string label =
-                "rot=" + rotLabel(cands[i].mode, cands[i].rHyb) +
-                " ks=" + graph::ksDataflowName(cands[i].df);
-            opt.search->recordCandidate(workload + "/" + label,
-                                        res.stats.cycles);
-        }
+        if (opt.search != nullptr)
+            opt.search->recordCandidate(res.stats.cycles);
         if (res.stats.cycles < best.result.stats.cycles) {
             best.mode = cands[i].mode;
             best.rHyb = cands[i].rHyb;

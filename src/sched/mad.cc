@@ -12,7 +12,6 @@ madOptions()
     opt.nttDecomp = false;
     opt.maxGroupOps = 3;
     opt.clusters = 1;
-    opt.shareAuxAcrossClusters = false;
     return opt;
 }
 
@@ -23,12 +22,6 @@ madWorkloadOptions()
     wopt.rotMode = graph::RotMode::Hoisting;
     wopt.rHyb = 0;
     return wopt;
-}
-
-Schedule
-scheduleGraphMad(const graph::Graph &g, const hw::HwConfig &cfg)
-{
-    return scheduleGraph(g, cfg, madOptions());
 }
 
 WorkloadResult

@@ -24,9 +24,6 @@ SchedOptions madOptions();
 /** Workload options MAD uses at graph level (hoisted rotations). */
 graph::WorkloadOptions madWorkloadOptions();
 
-/** Schedule one graph with MAD. */
-Schedule scheduleGraphMad(const graph::Graph &g, const hw::HwConfig &cfg);
-
 /** Schedule a workload with MAD. */
 WorkloadResult scheduleWorkloadMad(const graph::Workload &w,
                                    const hw::HwConfig &cfg);

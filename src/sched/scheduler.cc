@@ -685,7 +685,7 @@ scheduleGraphSearch(const Graph &g, const hw::HwConfig &cfg,
 
     Schedule best = scheduleOneGraph(g, cfg, opt, deadline);
     if (opt.search != nullptr)
-        opt.search->recordCandidate("base", best.stats.cycles);
+        opt.search->recordCandidate(best.stats.cycles);
     if (!opt.nttDecomp || !opt.crossOpDataflow)
         return finish(std::move(best), false);
 
@@ -712,9 +712,7 @@ scheduleGraphSearch(const Graph &g, const hw::HwConfig &cfg,
     bool truncated = best.degraded;
     for (u64 i = 0; i < options.size(); ++i) {
         if (opt.search != nullptr)
-            opt.search->recordCandidate(
-                "nttdec n1=" + std::to_string(options[i]),
-                cands[i]->stats.cycles);
+            opt.search->recordCandidate(cands[i]->stats.cycles);
         // A truncated candidate taints the sweep even when another one
         // wins: the comparison no longer matches the exhaustive search.
         truncated = truncated || cands[i]->degraded;
@@ -831,8 +829,7 @@ scheduleWorkload(const graph::Workload &w, const hw::HwConfig &cfg,
         schedules[i] = scheduleGraph(w.segments[i].graph, cluster_cfg, o);
     });
 
-    return aggregateWorkload(w, cfg, schedules, opt.clusters,
-                             opt.shareAuxAcrossClusters);
+    return aggregateWorkload(w, cfg, schedules, opt.clusters);
 }
 
 WorkloadResult
@@ -862,8 +859,7 @@ scheduleWorkloadAutoClusters(const graph::Workload &w,
     });
     for (u64 i = 0; i < ks.size(); ++i) {
         if (opt.search != nullptr)
-            opt.search->recordCandidate("clusters=" + std::to_string(ks[i]),
-                                        results[i]->stats.cycles);
+            opt.search->recordCandidate(results[i]->stats.cycles);
         if (results[i]->stats.cycles < best.stats.cycles)
             best = std::move(*results[i]);
     }

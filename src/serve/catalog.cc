@@ -54,15 +54,6 @@ buildTemplateWorkload(const std::string &name, const graph::FheParams &p,
 
 }  // namespace
 
-u32
-Catalog::indexOf(const std::string &name) const
-{
-    for (u32 i = 0; i < templates.size(); ++i)
-        if (templates[i].name == name)
-            return i;
-    throw RecoverableError("unknown catalog template '" + name + "'");
-}
-
 Catalog
 buildCatalog(const graph::FheParams &p,
              const std::vector<std::string> &names,

@@ -43,9 +43,6 @@ struct Catalog
 {
     graph::FheParams params;
     std::vector<RequestTemplate> templates;
-
-    /** Index of template @p name; throws RecoverableError when unknown. */
-    u32 indexOf(const std::string &name) const;
 };
 
 /**

@@ -19,20 +19,6 @@ policyByName(const std::string &name)
                            "' (expected fifo, edf, or wfq)");
 }
 
-const char *
-policyName(Policy policy)
-{
-    switch (policy) {
-    case Policy::Fifo:
-        return "fifo";
-    case Policy::Edf:
-        return "edf";
-    case Policy::Wfq:
-        return "wfq";
-    }
-    return "?";
-}
-
 RequestQueue::RequestQueue(Policy policy, std::vector<double> tenantWeights)
     : policy_(policy), weights_(std::move(tenantWeights))
 {

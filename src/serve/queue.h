@@ -36,7 +36,6 @@ enum class Policy : u8
 
 /** Lookup by name (fifo/edf/wfq); throws RecoverableError. */
 Policy policyByName(const std::string &name);
-const char *policyName(Policy policy);
 
 /** Deterministic priority queue with same-template batch extraction. */
 class RequestQueue

@@ -79,7 +79,6 @@ class NocModel
     void attachFaults(const fault::FaultInjector *faults);
 
     u64 totalWords() const { return totalWords_; }
-    double capacityWordsPerCycle() const { return capacity_; }
 
     /** Transfers that detoured around a failed link (zero when healthy). */
     u64 faultReroutes() const { return faultReroutes_; }

@@ -292,8 +292,7 @@ simulateWorkload(const graph::Workload &w, const hw::HwConfig &cfg,
         s.warmStats.cycles *= ratio;
         schedules.push_back(std::move(s));
     }
-    return sched::aggregateWorkload(w, cfg, schedules, opt.clusters,
-                                    opt.shareAuxAcrossClusters);
+    return sched::aggregateWorkload(w, cfg, schedules, opt.clusters);
 }
 
 }  // namespace crophe::sim

@@ -1,8 +1,5 @@
 #include "sim/stats.h"
 
-#include <iomanip>
-#include <sstream>
-
 #include "telemetry/stats_registry.h"
 
 namespace crophe::sim {
@@ -67,23 +64,6 @@ SimStats::accumulateInto(telemetry::StatsRegistry &reg,
                     "transfers detoured around a failed link") +=
             faultNocReroutes;
     }
-}
-
-std::string
-SimStats::toString() const
-{
-    std::ostringstream os;
-    os << "cycles=" << cycles << " dram=" << dramWords
-       << " sram=" << sramWords << " noc=" << nocWords
-       << " flops=" << flops << " events=" << events << " rowHit%="
-       << std::fixed << std::setprecision(1) << 100.0 * dramRowHitRate();
-    if (faultsEnabled)
-        os << " faults[ecc=" << faultDramEcc
-           << " retried=" << faultDramRetried
-           << " retries=" << faultDramRetries
-           << " stalls=" << faultDramStalls
-           << " reroutes=" << faultNocReroutes << "]";
-    return os.str();
 }
 
 }  // namespace crophe::sim

@@ -58,8 +58,6 @@ struct SimStats
      */
     void accumulateInto(telemetry::StatsRegistry &reg,
                         const std::string &prefix = "sim") const;
-
-    std::string toString() const;
 };
 
 }  // namespace crophe::sim

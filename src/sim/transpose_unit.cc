@@ -7,9 +7,7 @@ namespace crophe::sim {
 
 TransposeUnit::TransposeUnit(const hw::HwConfig &cfg)
     // Lane-wide read+write ports.
-    : rate_(static_cast<double>(cfg.lanes)),
-      capacityWords_(static_cast<u64>(cfg.transposeMB * 1024.0 * 1024.0 /
-                                      cfg.wordBytes()))
+    : rate_(static_cast<double>(cfg.lanes))
 {
     CROPHE_ASSERT(cfg.lanes > 0, "transpose unit needs lanes > 0");
 }

@@ -4,8 +4,8 @@
 /**
  * @file
  * SRAM-based transpose unit (Section IV-A): stages a tensor and emits it
- * in the transposed orientation. Its few-MB buffer bounds the tile it can
- * hold at once; larger tensors stream through in tiles.
+ * in the transposed orientation. The simulator charges the staging
+ * buffer's port traffic; the buffer's size enters only the area model.
  */
 
 #include "hw/config.h"
@@ -19,9 +19,9 @@ class TransposeUnit
   public:
     explicit TransposeUnit(const hw::HwConfig &cfg);
 
-    /** Back-to-back transposes of @p words each (see FifoRun). Tiles
-     *  larger than the staging buffer stream through in passes: write a
-     *  tile, read it transposed (2x the port traffic). */
+    /** Back-to-back transposes of @p words each (see FifoRun). Each word
+     *  is written into the staging buffer and read back transposed (2x
+     *  the port traffic). */
     FifoRun
     run(u64 words)
     {
@@ -36,12 +36,10 @@ class TransposeUnit
     void attachTrace(telemetry::TraceRecorder *rec);
 
     u64 totalWords() const { return totalWords_; }
-    u64 capacityWords() const { return capacityWords_; }
 
   private:
     double rate_;  ///< words per cycle through the read+write ports
     SimTime freeAt_ = 0.0;
-    u64 capacityWords_;
     u64 totalWords_ = 0;
     SpanTrack spans_;
 };

@@ -1,18 +1,17 @@
 #include "telemetry/search_telemetry.h"
 
 #include <algorithm>
-#include <limits>
 
-#include "telemetry/json_util.h"
 #include "telemetry/stats_registry.h"
 
 namespace crophe::telemetry {
 
 void
-SearchTelemetry::recordCandidate(const std::string &label, double cost)
+SearchTelemetry::recordCandidate(double cost)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    samples_.emplace_back(label, cost);
+    bestCost_ = candidates_ == 0 ? cost : std::min(bestCost_, cost);
+    ++candidates_;
 }
 
 void
@@ -102,7 +101,7 @@ u64
 SearchTelemetry::candidates() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return samples_.size();
+    return candidates_;
 }
 
 u64
@@ -120,46 +119,10 @@ SearchTelemetry::memoHits() const
 }
 
 double
-SearchTelemetry::memoHitRate() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    u64 lookups = analyzed_ + memoHits_;
-    return lookups ? static_cast<double>(memoHits_) / lookups : 0.0;
-}
-
-double
 SearchTelemetry::bestCost() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    double best = 0.0;
-    bool first = true;
-    for (const auto &[label, cost] : samples_) {
-        best = first ? cost : std::min(best, cost);
-        first = false;
-    }
-    return best;
-}
-
-std::vector<SearchSample>
-SearchTelemetry::curve() const
-{
-    // Parallel sweeps record in nondeterministic order; the canonical
-    // curve sorts by (label, cost) and recomputes step / best-so-far over
-    // that order, so it depends only on the set of samples.
-    std::vector<std::pair<std::string, double>> samples;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        samples = samples_;
-    }
-    std::stable_sort(samples.begin(), samples.end());
-    std::vector<SearchSample> out;
-    out.reserve(samples.size());
-    double best = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < samples.size(); ++i) {
-        best = std::min(best, samples[i].second);
-        out.push_back({i, samples[i].first, samples[i].second, best});
-    }
-    return out;
+    return bestCost_;
 }
 
 std::vector<SearchChoice>
@@ -253,24 +216,6 @@ SearchTelemetry::registerStats(StatsRegistry &reg,
                                       : 0.0;
                        });
     }
-}
-
-void
-SearchTelemetry::writeCurveJson(std::ostream &os) const
-{
-    auto canonical = curve();
-    os << "[";
-    for (std::size_t i = 0; i < canonical.size(); ++i) {
-        const SearchSample &s = canonical[i];
-        os << (i ? ",\n" : "\n") << "{\"step\":" << s.step << ",\"label\":";
-        jsonString(os, s.label);
-        os << ",\"cost\":";
-        jsonNumber(os, s.cost);
-        os << ",\"bestSoFar\":";
-        jsonNumber(os, s.bestSoFar);
-        os << "}";
-    }
-    os << "\n]";
 }
 
 }  // namespace crophe::telemetry

@@ -5,19 +5,16 @@
  * @file
  * Scheduler search observability: every candidate schedule the search
  * evaluates (base dataflow, NTT-decomposition factors, rotation schemes,
- * cluster counts) is recorded with its cost, yielding a best-cost-so-far
- * curve, together with the group enumerator's memoization effectiveness
- * (unique subgraphs analyzed vs memo hits — the paper's
- * redundant-subgraph merging).
+ * cluster counts) is counted and the cheapest cost kept, together with
+ * the group enumerator's memoization effectiveness (unique subgraphs
+ * analyzed vs memo hits — the paper's redundant-subgraph merging).
  *
  * Observers are attached via SchedOptions::search; a null pointer keeps
  * the scheduler free of any telemetry work.
  */
 
 #include <mutex>
-#include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -25,15 +22,6 @@
 namespace crophe::telemetry {
 
 class StatsRegistry;
-
-/** One evaluated candidate in the schedule search. */
-struct SearchSample
-{
-    u64 step;           ///< 0-based evaluation order
-    std::string label;  ///< e.g. "bootstrap/nttdec n1=64"
-    double cost;        ///< candidate cycles
-    double bestSoFar;   ///< min cost up to and including this step
-};
 
 /** The winning (rotation scheme, ks dataflow) of one workload's search. */
 struct SearchChoice
@@ -49,17 +37,15 @@ struct SearchChoice
  * Accumulates scheduler search progress across one or more searches.
  *
  * Thread-safe: the scheduler evaluates candidate sweeps in parallel, so
- * recordCandidate/addEnumeration may race. Samples are stored raw and
- * every read (curve(), writeCurveJson(), registerStats()) presents the
- * canonical view — samples sorted by (label, cost) with step and
- * best-so-far recomputed — so the dump is byte-identical for any thread
- * count and arrival order.
+ * recordCandidate/addEnumeration may race. Every read is independent of
+ * the arrival order (counts, sums, a minimum, choices() sorted), so the
+ * dump is byte-identical for any thread count.
  */
 class SearchTelemetry
 {
   public:
-    /** Record one evaluated candidate schedule. */
-    void recordCandidate(const std::string &label, double cost);
+    /** Record one evaluated candidate schedule of @p cost cycles. */
+    void recordCandidate(double cost);
 
     /** Record the variant the rotation/ks-dataflow search settled on. */
     void recordChoice(const std::string &workload,
@@ -93,11 +79,8 @@ class SearchTelemetry
     u64 planMisses() const;
     u64 deadlineHits() const;
     double designSeconds() const;
-    /** Fraction of candidate-group lookups served from the memo. */
-    double memoHitRate() const;
+    /** Cheapest candidate cost recorded (0 before the first). */
     double bestCost() const;
-    /** Canonical (label-sorted) best-cost curve; see class comment. */
-    std::vector<SearchSample> curve() const;
 
     /** Recorded winners, sorted by (workload, rot, ks) for determinism. */
     std::vector<SearchChoice> choices() const;
@@ -106,13 +89,11 @@ class SearchTelemetry
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix = "sched") const;
 
-    /** Write the best-cost curve as a JSON array of samples. */
-    void writeCurveJson(std::ostream &os) const;
-
   private:
     mutable std::mutex mu_;
-    std::vector<std::pair<std::string, double>> samples_;  ///< raw order
-    std::vector<SearchChoice> choices_;                    ///< raw order
+    u64 candidates_ = 0;
+    double bestCost_ = 0.0;
+    std::vector<SearchChoice> choices_;  ///< raw order
     u64 analyzed_ = 0;
     u64 memoHits_ = 0;
     u64 prunedWindows_ = 0;

@@ -118,18 +118,6 @@ TEST_F(ParallelTest, NestedParallelForCompletes)
             EXPECT_EQ(m[i][j], i * 1000 + j);
 }
 
-TEST_F(ParallelTest, ParallelInvokeRunsAllTasks)
-{
-    ThreadPool::setGlobalThreads(4);
-    std::vector<std::atomic<u32>> ran(5);
-    std::vector<std::function<void()>> tasks;
-    for (u32 t = 0; t < 5; ++t)
-        tasks.push_back([&ran, t] { ran[t].fetch_add(1); });
-    parallelInvoke(tasks);
-    for (u32 t = 0; t < 5; ++t)
-        EXPECT_EQ(ran[t].load(), 1u);
-}
-
 TEST_F(ParallelTest, GlobalThreadOverrideWinsOverEnv)
 {
     ThreadPool::setGlobalThreads(3);

@@ -158,8 +158,8 @@ bootstrapFingerprint()
     }
     reg.dumpText(os);
 
-    // Canonical search-telemetry curve.
-    st.writeCurveJson(os);
+    // Search telemetry.
+    os << st.candidates() << "|" << st.bestCost() << "\n";
     return os.str();
 }
 

@@ -22,7 +22,7 @@ TEST(BigUInt, ZeroAndBasics)
 TEST(BigUInt, AddCarriesAcrossWords)
 {
     BigUInt a(~0ull);
-    a.addSmallInplace(1);
+    a.addInplace(BigUInt(1));
     EXPECT_EQ(a.toHex(), "10000000000000000");
     EXPECT_EQ(a.wordCount(), 2u);
     EXPECT_EQ(a.modSmall(3), ((~0ull) % 3 + 1) % 3);

@@ -51,40 +51,6 @@ TEST(Bsgs, RequiredRotationsPerStrategy)
     EXPECT_EQ(hybrid, (std::vector<i64>{1, 2, 4}));
 }
 
-TEST(Bsgs, BabyStepCostEndpoints)
-{
-    const u32 n1 = 8;
-    auto min_ks = babyStepCost(n1, RotStrategy::MinKs, 0);
-    EXPECT_EQ(min_ks.modUpDown, n1 - 1);
-    EXPECT_EQ(min_ks.distinctEvk, 1u);
-
-    auto hoist = babyStepCost(n1, RotStrategy::Hoisting, 0);
-    EXPECT_EQ(hoist.modUpDown, 1u);
-    EXPECT_EQ(hoist.distinctEvk, n1 - 1);
-
-    // Hybrid endpoints reduce to the pure schemes.
-    auto h1 = babyStepCost(n1, RotStrategy::Hybrid, 1);
-    EXPECT_EQ(h1.modUpDown, min_ks.modUpDown);
-    EXPECT_EQ(h1.distinctEvk, min_ks.distinctEvk);
-    auto hn = babyStepCost(n1, RotStrategy::Hybrid, n1);
-    EXPECT_EQ(hn.modUpDown, hoist.modUpDown);
-    EXPECT_EQ(hn.distinctEvk, hoist.distinctEvk);
-}
-
-TEST(Bsgs, HybridCostInterpolatesMonotonically)
-{
-    const u32 n1 = 16;
-    u32 prev_pairs = ~0u;
-    u32 prev_evk = 0;
-    for (u32 r = 1; r <= n1; r *= 2) {
-        auto c = babyStepCost(n1, RotStrategy::Hybrid, r);
-        EXPECT_LE(c.modUpDown, prev_pairs) << "r=" << r;
-        EXPECT_GE(c.distinctEvk, prev_evk) << "r=" << r;
-        prev_pairs = c.modUpDown;
-        prev_evk = c.distinctEvk;
-    }
-}
-
 TEST(Bsgs, BabyStepsAgreeAcrossStrategies)
 {
     auto &s = state();

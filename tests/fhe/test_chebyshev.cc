@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "common/rng.h"
 #include "fhe/chebyshev.h"
 #include "tests/fhe/test_util.h"
@@ -17,15 +15,6 @@ TEST(PolyEval, ReferenceHorner)
     EXPECT_DOUBLE_EQ(evalPolyRef(p, 0.0), 1.0);
     EXPECT_DOUBLE_EQ(evalPolyRef(p, 1.0), 2.0);
     EXPECT_DOUBLE_EQ(evalPolyRef(p, 2.0), 9.0);
-}
-
-TEST(PolyEval, CosineCoefficientsApproximateCosine)
-{
-    auto coeffs = cosineMonomialCoeffs(3.14159, 14);
-    for (double x : {-1.0, -0.5, 0.0, 0.3, 0.9}) {
-        EXPECT_NEAR(evalPolyRef(coeffs, x), std::cos(3.14159 * x), 1e-4)
-            << x;
-    }
 }
 
 TEST(PolyEval, HomomorphicQuadratic)

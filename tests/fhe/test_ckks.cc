@@ -59,18 +59,6 @@ TEST(Ckks, EncryptDecryptPublicKey)
         EXPECT_NEAR(got[i].real(), v[i], 1e-4) << i;
 }
 
-TEST(Ckks, EncryptDecryptSymmetric)
-{
-    auto &s = state();
-    Rng rng(91);
-    auto v = randomReals(s.ctx.n() / 2, rng);
-    Plaintext pt = s.eval.encoder().encodeReal(v, 2);
-    Ciphertext ct = s.eval.encryptSymmetric(pt, s.keygen.secretKey());
-    auto got = s.eval.encoder().decode(s.eval.decrypt(ct, s.keygen.secretKey()));
-    for (u64 i = 0; i < v.size(); ++i)
-        EXPECT_NEAR(got[i].real(), v[i], 1e-5) << i;
-}
-
 TEST(Ckks, HomomorphicAddition)
 {
     auto &s = state();
@@ -82,15 +70,10 @@ TEST(Ckks, HomomorphicAddition)
     auto c1 = s.eval.encrypt(p1, s.pk);
     auto c2 = s.eval.encrypt(p2, s.pk);
     auto sum = s.eval.add(c1, c2);
-    auto diff = s.eval.sub(c1, c2);
     auto got_sum =
         s.eval.encoder().decode(s.eval.decrypt(sum, s.keygen.secretKey()));
-    auto got_diff =
-        s.eval.encoder().decode(s.eval.decrypt(diff, s.keygen.secretKey()));
-    for (u64 i = 0; i < v1.size(); ++i) {
+    for (u64 i = 0; i < v1.size(); ++i)
         EXPECT_NEAR(got_sum[i].real(), v1[i] + v2[i], 1e-4);
-        EXPECT_NEAR(got_diff[i].real(), v1[i] - v2[i], 1e-4);
-    }
 }
 
 TEST(Ckks, PlaintextOps)

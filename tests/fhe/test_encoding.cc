@@ -146,6 +146,7 @@ TEST(Encoder, DecodeMatchesPerCoefficientCrtBitForBit)
          std::initializer_list<const FheContext *>{&smallContext(),
                                                    &wide_ctx}) {
         KeyGenerator keygen(*ctx, 73);
+        PublicKey pk = keygen.makePublicKey();
         Evaluator eval(*ctx, 74);
         Rng rng(75);
         std::vector<Cplx> z(ctx->n() / 2);
@@ -153,8 +154,7 @@ TEST(Encoder, DecodeMatchesPerCoefficientCrtBitForBit)
             v = Cplx(rng.nextDouble() * 2 - 1, rng.nextDouble() * 2 - 1);
         for (u32 level = 0; level <= ctx->maxLevel(); ++level) {
             Plaintext pt = eval.decrypt(
-                eval.encryptSymmetric(eval.encoder().encode(z, level),
-                                      keygen.secretKey()),
+                eval.encrypt(eval.encoder().encode(z, level), pk),
                 keygen.secretKey());
             auto got = eval.encoder().decode(pt);
             auto want = referenceDecode(*ctx, pt);

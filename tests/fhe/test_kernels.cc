@@ -6,6 +6,7 @@
 
 #include "common/arena.h"
 #include "common/cpu_features.h"
+#include "common/error.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -546,12 +547,12 @@ TEST(KernelDispatch, ScalarAlwaysAvailableAndNamesRoundTrip)
     EXPECT_EQ(kernels::activeBackend(), kernels::Backend::Scalar);
     EXPECT_STREQ(kernels::table().name, "scalar");
 
-    EXPECT_TRUE(kernels::setBackendByName("scalar"));
-    EXPECT_TRUE(kernels::setBackendByName("auto"));
+    kernels::setBackend(kernels::parseBackend("auto"));
+    kernels::setBackend(kernels::parseBackend("scalar"));
+    EXPECT_EQ(kernels::activeBackend(), kernels::Backend::Scalar);
     // Unknown names are rejected without changing the selection.
-    kernels::Backend before = kernels::activeBackend();
-    EXPECT_FALSE(kernels::setBackendByName("sse9"));
-    EXPECT_EQ(kernels::activeBackend(), before);
+    EXPECT_THROW(kernels::parseBackend("sse9"), RecoverableError);
+    EXPECT_EQ(kernels::activeBackend(), kernels::Backend::Scalar);
 }
 
 TEST(KernelDispatch, AvailabilityIsConsistentWithCpuFeatures)

@@ -56,9 +56,12 @@ TEST(RnsPoly, AddSubNegateRoundTrip)
     a.uniformRandom(rng);
     b.uniformRandom(rng);
 
+    // a + b - b, subtracting by adding the negation.
+    RnsPoly neg_b = b;
+    neg_b.negateInplace();
     RnsPoly c = a;
     c.addInplace(b);
-    c.subInplace(b);
+    c.addInplace(neg_b);
     for (u32 l = 0; l < a.limbCount(); ++l)
         EXPECT_EQ(c.limbVec(l), a.limbVec(l));
 

@@ -5,6 +5,8 @@
 namespace crophe::graph {
 namespace {
 
+using Axes = std::vector<StreamAxis>;
+
 TEST(Op, PlainMulUsesOnTheFlyLimbExtension)
 {
     // OF-Limb: one plaintext limb fetched, the rest generated on-chip at
@@ -22,8 +24,7 @@ TEST(Op, ElementwiseShape)
     EXPECT_EQ(op.flops, 10ull * (1 << 12));
     EXPECT_TRUE(op.isElementwise());
     EXPECT_FALSE(op.isTransform());
-    EXPECT_TRUE(op.canStream(StreamAxis::SlotN));
-    EXPECT_TRUE(op.canStream(StreamAxis::Limb));
+    EXPECT_EQ(op.streamAxes, (Axes{StreamAxis::SlotN, StreamAxis::Limb}));
     EXPECT_FALSE(op.orientationSwitch);
 }
 
@@ -32,8 +33,7 @@ TEST(Op, MonolithicNttCannotStreamOnN)
     Op op = makeNtt(OpKind::Ntt, 1 << 12, 8);
     EXPECT_TRUE(op.isTransform());
     EXPECT_TRUE(op.orientationSwitch);
-    EXPECT_FALSE(op.canStream(StreamAxis::SlotN));
-    EXPECT_TRUE(op.canStream(StreamAxis::Limb));
+    EXPECT_EQ(op.streamAxes, Axes{StreamAxis::Limb});
     // N/2 * logN butterflies per limb.
     EXPECT_EQ(op.flops, 8ull * (1 << 11) * 12);
 }
@@ -41,12 +41,10 @@ TEST(Op, MonolithicNttCannotStreamOnN)
 TEST(Op, DecomposedNttStreamsOnInstanceAxis)
 {
     Op col = makeNttStep(OpKind::INttCol, 64, 256, 8);
-    EXPECT_TRUE(col.canStream(StreamAxis::SlotN1));
-    EXPECT_FALSE(col.canStream(StreamAxis::SlotN2));
+    EXPECT_EQ(col.streamAxes, (Axes{StreamAxis::SlotN1, StreamAxis::Limb}));
     EXPECT_FALSE(col.orientationSwitch);
     Op row = makeNttStep(OpKind::NttRow, 64, 256, 8);
-    EXPECT_TRUE(row.canStream(StreamAxis::SlotN2));
-    EXPECT_FALSE(row.canStream(StreamAxis::SlotN1));
+    EXPECT_EQ(row.streamAxes, (Axes{StreamAxis::SlotN2, StreamAxis::Limb}));
 
     // Col+row flops together equal the monolithic transform's flops.
     Op mono = makeNtt(OpKind::Ntt, 64 * 256, 8);
@@ -56,8 +54,7 @@ TEST(Op, DecomposedNttStreamsOnInstanceAxis)
 TEST(Op, BConvReducesOverLimbs)
 {
     Op op = makeBConv(1 << 12, 6, 13);
-    EXPECT_TRUE(op.canStream(StreamAxis::SlotN));
-    EXPECT_FALSE(op.canStream(StreamAxis::Limb));
+    EXPECT_EQ(op.streamAxes, Axes{StreamAxis::SlotN});
     EXPECT_EQ(op.outputWords, 13ull << 12);
     // Small constant matrix only.
     EXPECT_LT(op.auxWords, 1000u);

@@ -23,10 +23,9 @@ TEST_P(ConfigSweep, ScheduleInvariants)
     FheParams p = graph::paramsArk();
     Graph g = graph::buildHMult(p, 12);
 
-    SchedOptions opt;
-    opt.crossOpDataflow = cfg.homogeneous;  // MAD on specialized designs
-    Schedule s = opt.crossOpDataflow ? scheduleGraph(g, cfg, opt)
-                                     : scheduleGraphMad(g, cfg);
+    // MAD on specialized designs.
+    SchedOptions opt = cfg.homogeneous ? SchedOptions{} : madOptions();
+    Schedule s = scheduleGraph(g, cfg, opt);
 
     // Basic sanity on every design point.
     EXPECT_GT(s.stats.cycles, 0.0);

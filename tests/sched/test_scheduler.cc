@@ -75,7 +75,7 @@ TEST(Scheduler, CropheBeatsMadOnCropheHardware)
     auto cfg = hw::configCrophe64();
 
     Schedule crophe = scheduleGraph(g, cfg, cropheOptions());
-    Schedule mad = scheduleGraphMad(g, cfg);
+    Schedule mad = scheduleGraph(g, cfg, madOptions());
 
     EXPECT_LT(crophe.stats.cycles, mad.stats.cycles);
     EXPECT_LE(crophe.stats.dramWords, mad.stats.dramWords);
@@ -145,6 +145,89 @@ TEST(Scheduler, WorkloadAggregationScalesWithReps)
         seg.repetitions *= 2;
     auto res2 = scheduleWorkload(w2, cfg, cropheOptions());
     EXPECT_NEAR(res2.stats.cycles / res.stats.cycles, 2.0, 0.2);
+}
+
+/** SchedStats with the fields aggregateWorkload reads. */
+SchedStats
+segStats(double cycles, u64 dram, u64 aux, u64 sram, u64 noc)
+{
+    SchedStats s;
+    s.cycles = cycles;
+    s.dramWords = dram;
+    s.auxDramWords = aux;
+    s.sramWords = sram;
+    s.nocWords = noc;
+    s.flops = 10;
+    return s;
+}
+
+TEST(Scheduler, AggregationChargesAuxAndWarmCyclesPerClusterRound)
+{
+    // Round numbers: one DRAM word per cycle, two SRAM words, four NoC.
+    hw::HwConfig cfg;
+    cfg.wordBits = 64;
+    cfg.freqGhz = 1.0;
+    cfg.dramGBs = 8.0;
+    cfg.sramGBs = 16.0;
+    cfg.numPes = 4;
+    cfg.lanes = 4;
+
+    // Five repetitions of each segment; each is bound by a different
+    // resource. Cold (first) and warm (steady-state) schedules.
+    Workload w;
+    std::vector<Schedule> scheds(4);
+    for (const char *name : {"compute", "dram", "sram", "noc"})
+        w.segments.push_back({name, Graph{}, 5});
+    scheds[0].stats = segStats(1000, 600, 400, 100, 50);
+    scheds[0].warmStats = segStats(700, 300, 100, 0, 0);
+    scheds[1].stats = segStats(100, 1000, 600, 0, 0);
+    scheds[1].warmStats = segStats(50, 700, 500, 0, 0);
+    scheds[2].stats = segStats(100, 0, 0, 2000, 0);
+    scheds[2].warmStats = segStats(50, 0, 0, 0, 0);
+    scheds[3].stats = segStats(100, 0, 0, 0, 2000);
+    scheds[3].warmStats = segStats(50, 0, 0, 0, 0);
+
+    // One cluster runs the five repetitions in five rounds, two clusters
+    // in three: the first round cold, the rest warm, and the aux
+    // constants fetched once per round.
+    struct Want
+    {
+        u32 clusters;
+        u64 aux[2];        ///< compute and dram segments' aux words
+        u64 dram[2];       ///< their DRAM words
+        double cycles[4];  ///< per segment
+    };
+    const Want wants[] = {
+        // compute: 1000 + 4*700 cold+warm; dram: 3800 words at one per
+        // cycle; sram: 5*2000 words at two per cycle; noc: 5*2000 at four.
+        {1, {400 + 4 * 100, 600 + 4 * 500}, {1800, 3800},
+         {3800, 3800, 5000, 2500}},
+        {2, {400 + 2 * 100, 600 + 2 * 500}, {1600, 2800},
+         {2400, 2800, 5000, 2500}},
+    };
+    for (const Want &want : wants) {
+        WorkloadResult res = aggregateWorkload(w, cfg, scheds, want.clusters);
+        EXPECT_EQ(res.clusters, want.clusters);
+        ASSERT_EQ(res.perSegment.size(), 4u);
+        for (u32 s = 0; s < 2; ++s) {
+            const SchedStats &st = res.perSegment[s].second;
+            EXPECT_EQ(st.auxDramWords, want.aux[s]) << s;
+            // Non-aux DRAM words: cold once, warm four times either way.
+            EXPECT_EQ(st.dramWords, want.dram[s]) << s;
+        }
+        double total = 0.0;
+        for (u32 s = 0; s < 4; ++s) {
+            const SchedStats &st = res.perSegment[s].second;
+            EXPECT_EQ(res.perSegment[s].first, w.segments[s].name);
+            EXPECT_DOUBLE_EQ(st.cycles, want.cycles[s]) << s;
+            EXPECT_EQ(st.flops, 50u);
+            total += st.cycles;
+        }
+        EXPECT_EQ(res.perSegment[2].second.sramWords, 10000u);
+        EXPECT_EQ(res.perSegment[3].second.nocWords, 10000u);
+        EXPECT_DOUBLE_EQ(res.stats.cycles, total);
+        EXPECT_DOUBLE_EQ(res.seconds, total / 1e9);
+    }
 }
 
 TEST(Scheduler, AutoClustersNeverHurts)

@@ -159,8 +159,7 @@ TEST(Catalog, TemplatesAreHashedAndSized)
 {
     auto cat = microCatalog();
     ASSERT_EQ(cat.templates.size(), 3u);
-    EXPECT_EQ(cat.indexOf("hrot"), 1u);
-    EXPECT_THROW(cat.indexOf("nope"), RecoverableError);
+    EXPECT_EQ(cat.templates[1].name, "hrot");
     for (const auto &t : cat.templates) {
         EXPECT_NE(t.graphHash, 0u);
         EXPECT_GT(t.ops, 0u);

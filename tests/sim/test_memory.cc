@@ -104,7 +104,6 @@ TEST(Transpose, RoundTripTraffic)
     SimTime t = tr.transpose(0.0, 1 << 16);
     EXPECT_GT(t, 0.0);
     EXPECT_EQ(tr.totalWords(), 1ull << 16);
-    EXPECT_GT(tr.capacityWords(), 0u);
 }
 
 TEST(Server, FifoBandwidthSemantics)

@@ -149,24 +149,20 @@ TEST(SimTelemetry, RegistryTotalsMatchSimStatsExactly)
 TEST(SearchTelemetry, CurveTracksBestSoFar)
 {
     telemetry::SearchTelemetry st;
-    EXPECT_DOUBLE_EQ(st.memoHitRate(), 0.0);
-    st.recordCandidate("a", 10.0);
-    st.recordCandidate("b", 12.0);
-    st.recordCandidate("c", 7.0);
-    EXPECT_EQ(st.candidates(), 3u);
+    EXPECT_EQ(st.candidates(), 0u);
+    EXPECT_DOUBLE_EQ(st.bestCost(), 0.0);
+    st.recordCandidate(10.0);
+    EXPECT_DOUBLE_EQ(st.bestCost(), 10.0);
+    st.recordCandidate(12.0);
+    EXPECT_DOUBLE_EQ(st.bestCost(), 10.0);
+    st.recordCandidate(7.0);
     EXPECT_DOUBLE_EQ(st.bestCost(), 7.0);
-    ASSERT_EQ(st.curve().size(), 3u);
-    EXPECT_DOUBLE_EQ(st.curve()[0].bestSoFar, 10.0);
-    EXPECT_DOUBLE_EQ(st.curve()[1].bestSoFar, 10.0);
-    EXPECT_DOUBLE_EQ(st.curve()[2].bestSoFar, 7.0);
-    EXPECT_EQ(st.curve()[2].step, 2u);
+    EXPECT_EQ(st.candidates(), 3u);
 
     st.addEnumeration(75, 25);
-    EXPECT_DOUBLE_EQ(st.memoHitRate(), 0.25);
-
-    std::ostringstream os;
-    st.writeCurveJson(os);
-    EXPECT_TRUE(testing::isValidJson(os.str())) << os.str();
+    telemetry::StatsRegistry reg;
+    st.registerStats(reg);
+    EXPECT_DOUBLE_EQ(reg.value("sched.enum.memoHitRate"), 0.25);
 }
 
 TEST(SearchTelemetry, SchedulerFeedsSearchObserver)
@@ -182,16 +178,7 @@ TEST(SearchTelemetry, SchedulerFeedsSearchObserver)
 
     EXPECT_GT(st.candidates(), 0u);
     EXPECT_GT(st.analyzed(), 0u);
-    EXPECT_GE(st.memoHitRate(), 0.0);
-    EXPECT_LE(st.memoHitRate(), 1.0);
-    // Best-so-far is non-increasing along the curve.
-    double prev = st.curve().front().bestSoFar;
-    for (const auto &s : st.curve()) {
-        EXPECT_LE(s.bestSoFar, prev);
-        EXPECT_GE(s.cost, s.bestSoFar);
-        prev = s.bestSoFar;
-    }
-    EXPECT_DOUBLE_EQ(st.curve().back().bestSoFar, st.bestCost());
+    EXPECT_GT(st.bestCost(), 0.0);
 
     // registerStats is idempotent and snapshots the counters.
     telemetry::StatsRegistry reg;
@@ -203,7 +190,10 @@ TEST(SearchTelemetry, SchedulerFeedsSearchObserver)
               static_cast<double>(st.analyzed()));
     EXPECT_EQ(reg.value("sched.enum.memoHits"),
               static_cast<double>(st.memoHits()));
-    EXPECT_DOUBLE_EQ(reg.value("sched.enum.memoHitRate"), st.memoHitRate());
+    EXPECT_DOUBLE_EQ(reg.value("sched.search.bestCycles"), st.bestCost());
+    EXPECT_DOUBLE_EQ(
+        reg.value("sched.enum.memoHitRate"),
+        static_cast<double>(st.memoHits()) / (st.analyzed() + st.memoHits()));
 }
 
 }  // namespace

@@ -29,7 +29,6 @@ class SpecialFft
   public:
     explicit SpecialFft(u64 n);
 
-    u64 n() const { return n_; }
     u64 slots() const { return n_ / 2; }
 
     /**

@@ -121,8 +121,6 @@ class ShoupMul
                       " must be reduced mod ", mod.value());
     }
 
-    u64 operand() const { return w_; }
-
     /** (a * w) mod q; requires a < q; result in [0, q). */
     u64
     mul(u64 a, u64 q) const
@@ -131,8 +129,6 @@ class ShoupMul
         u64 r = a * w_ - hi * q;
         return r >= q ? r - q : r;
     }
-
-    u64 quotient() const { return wShoup_; }
 
   private:
     u64 w_;

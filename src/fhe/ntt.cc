@@ -165,10 +165,10 @@ polyMulNaive(const std::vector<u64> &a, const std::vector<u64> &b,
 }
 
 CyclicNtt::CyclicNtt(u64 n, const Modulus &mod, u64 omega)
-    : n_(n), logn_(log2Exact(n)), mod_(mod), omega_(omega)
+    : n_(n), logn_(log2Exact(n)), mod_(mod)
 {
-    buildStages(&fwd_, omega_);
-    buildStages(&inv_, mod_.inv(omega_));
+    buildStages(&fwd_, omega);
+    buildStages(&inv_, mod_.inv(omega));
     nInv_ = mod_.inv(mod_.reduce64(n_));
     nInvShoup_ = shoupQuotient(nInv_, mod_.value());
 }

@@ -54,8 +54,6 @@ class NttTables
     /** @param n power-of-two transform size; @param mod prime ≡ 1 mod 2n. */
     NttTables(u64 n, const Modulus &mod);
 
-    u64 n() const { return n_; }
-    const Modulus &modulus() const { return mod_; }
     u64 psi() const { return psi_; }
 
     /** In-place forward negacyclic NTT; a.size() == n. */
@@ -119,9 +117,6 @@ class CyclicNtt
     /** @param n power of two; @param omega a primitive n-th root mod q. */
     CyclicNtt(u64 n, const Modulus &mod, u64 omega);
 
-    u64 n() const { return n_; }
-    u64 omega() const { return omega_; }
-
     /** In-place forward cyclic NTT, natural order in and out. */
     void forward(u64 *a) const;
 
@@ -143,7 +138,6 @@ class CyclicNtt
     u64 n_;
     u32 logn_;
     Modulus mod_;
-    u64 omega_;
     StageTables fwd_;
     StageTables inv_;
     u64 nInv_;

@@ -43,10 +43,6 @@ class FourStepNtt
      */
     FourStepNtt(u64 n1, u64 n2, const Modulus &mod);
 
-    u64 n() const { return n1_ * n2_; }
-    u64 n1() const { return n1_; }
-    u64 n2() const { return n2_; }
-
     /**
      * Forward transform, natural-order output:
      * out[k] = Σ_i a[i] ψ^{i(2k+1)}. Matches nttNaiveNegacyclic().

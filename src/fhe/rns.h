@@ -71,7 +71,6 @@ class FheContext
 
     u64 n() const { return n_; }
     u32 maxLevel() const { return levels_; }
-    u32 alpha() const { return alpha_; }
     u32 dnum() const { return dnum_; }
     double defaultScale() const { return scale_; }
 

@@ -95,7 +95,6 @@ class PlanCache
     void insert(const PlanKey &key, const std::vector<u8> &payload);
 
     PlanCacheStats stats() const;
-    const std::string &dir() const { return dir_; }
 
     /** Register hit/miss/eviction counters as `<prefix>.*` gauges. */
     void registerStats(telemetry::StatsRegistry &reg,

@@ -108,8 +108,6 @@ class Histogram : public Stat
     u64 underflow() const { return underflow_; }
     u64 overflow() const { return overflow_; }
     const std::vector<u64> &bins() const { return bins_; }
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
     /** Lower edge of bin @p i. */
     double binLo(u32 i) const { return lo_ + i * width_; }
 

@@ -53,17 +53,13 @@ main()
     wopt.rHyb = choice.rHyb;
     auto w = graph::buildWorkload("bootstrap", params, wopt);
     auto seg_sched = sched::scheduleGraph(w.segments[0].graph, cfg, opt);
-    u32 groups = 0, ops = 0;
-    for (const auto &tg : seg_sched.sequence) {
-        for (const auto &g : tg.groups) {
-            ++groups;
-            ops += static_cast<u32>(g.allocs.size());
-        }
-    }
-    std::printf("  segment '%s': %u ops in %u spatial groups "
-                "(%zu temporal groups), %.1f ops/group\n",
+    const auto groups = static_cast<u32>(seg_sched.groups.size());
+    u32 ops = 0;
+    for (const auto &g : seg_sched.groups)
+        ops += static_cast<u32>(g.allocs.size());
+    std::printf("  segment '%s': %u ops in %u spatial groups, "
+                "%.1f ops/group\n",
                 w.segments[0].name.c_str(), ops, groups,
-                seg_sched.sequence.size(),
                 static_cast<double>(ops) / groups);
     std::printf("  NTT decomposition applied: %s\n",
                 sched::countMonolithicNtts(seg_sched.graph) == 0 ? "yes"

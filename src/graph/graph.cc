@@ -1,6 +1,5 @@
 #include "graph/graph.h"
 
-#include <algorithm>
 #include <map>
 #include <set>
 
@@ -26,48 +25,6 @@ Graph::connect(OpId from, OpId to)
     CROPHE_ASSERT(from != to, "self edge");
     succ_[from].push_back(to);
     pred_[to].push_back(from);
-}
-
-bool
-Graph::tryRestoreEdges(std::vector<std::vector<OpId>> &&succ,
-                       std::vector<std::vector<OpId>> &&pred)
-{
-    const std::size_t n = ops_.size();
-    if (succ.size() != n || pred.size() != n)
-        return false;
-    // Bucket the successor edges by head (CSR, tails ascending), then
-    // compare each head's bucket with its sorted predecessor list.
-    std::vector<u32> start(n + 1, 0);
-    for (OpId v = 0; v < n; ++v) {
-        for (OpId w : succ[v]) {
-            if (w >= n || w == v)
-                return false;
-            ++start[w + 1];
-        }
-    }
-    for (std::size_t w = 0; w < n; ++w)
-        start[w + 1] += start[w];
-    std::vector<OpId> tails(start[n]);
-    std::vector<u32> fill(start.begin(), start.end() - 1);
-    for (OpId v = 0; v < n; ++v)
-        for (OpId w : succ[v])
-            tails[fill[w]++] = v;
-
-    std::vector<OpId> sorted;
-    for (OpId w = 0; w < n; ++w) {
-        for (OpId v : pred[w])
-            if (v >= n || v == w)
-                return false;
-        sorted.assign(pred[w].begin(), pred[w].end());
-        std::sort(sorted.begin(), sorted.end());
-        if (!std::equal(sorted.begin(), sorted.end(),
-                        tails.begin() + start[w],
-                        tails.begin() + start[w + 1]))
-            return false;
-    }
-    succ_ = std::move(succ);
-    pred_ = std::move(pred);
-    return true;
 }
 
 std::vector<OpId>

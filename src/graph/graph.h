@@ -13,21 +13,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/types.h"
 #include "graph/op.h"
 
 namespace crophe::graph {
-
-/** FNV-1a offset basis: the seed of every structural hash. */
-inline constexpr u64 kHashSeed = 1469598103934665603ull;
-
-/** One FNV-style mixing step of the structural hashes. */
-inline void
-hashMix(u64 &h, u64 v)
-{
-    h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h *= 1099511628211ull;
-}
 
 /**
  * Mix the shape fields a structural hash covers into @p h: kind, loop
@@ -89,19 +79,6 @@ class Graph
 
     /** Add a dependency edge from @p from to @p to. */
     void connect(OpId from, OpId to);
-
-    /**
-     * Replace both adjacency lists wholesale (deserialization support).
-     * Edge-list order is semantically relevant — group analysis iterates
-     * producers/consumers in insertion order — so a round-trip must restore
-     * the exact lists, not re-derive them via connect() in some canonical
-     * order. The lists must cover every node, name only in-range ids, hold
-     * no self edge, and describe the same edge multiset from both sides.
-     * Returns false and leaves the graph unchanged when they do not, so a
-     * decoder of untrusted bytes fails soft.
-     */
-    [[nodiscard]] bool tryRestoreEdges(std::vector<std::vector<OpId>> &&succ,
-                                       std::vector<std::vector<OpId>> &&pred);
 
     u32 size() const { return static_cast<u32>(ops_.size()); }
     const Op &op(OpId id) const { return ops_[id]; }

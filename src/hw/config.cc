@@ -1,6 +1,7 @@
 #include "hw/config.h"
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace crophe::hw {
@@ -181,36 +182,26 @@ validateConfig(const HwConfig &cfg)
 u64
 configDigest(const HwConfig &cfg)
 {
-    u64 h = 1469598103934665603ull;
-    auto mix = [&h](u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 1099511628211ull;
-    };
-    auto mixd = [&](double v) {
-        u64 bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    };
-    mix(std::hash<std::string>{}(cfg.name));
-    mix(cfg.wordBits);
-    mixd(cfg.freqGhz);
-    mix(cfg.lanes);
-    mix(cfg.numPes);
-    mix(cfg.meshX);
-    mix(cfg.meshY);
-    mixd(cfg.dramGBs);
-    mixd(cfg.sramGBs);
-    mixd(cfg.sramMB);
-    mixd(cfg.regFileKB);
-    mixd(cfg.transposeMB);
-    mix(cfg.homogeneous ? 1 : 0);
+    u64 h = kHashSeed;
+    hashMix(h, std::hash<std::string>{}(cfg.name));
+    hashMix(h, cfg.wordBits);
+    hashMix(h, cfg.freqGhz);
+    hashMix(h, cfg.lanes);
+    hashMix(h, cfg.numPes);
+    hashMix(h, cfg.meshX);
+    hashMix(h, cfg.meshY);
+    hashMix(h, cfg.dramGBs);
+    hashMix(h, cfg.sramGBs);
+    hashMix(h, cfg.sramMB);
+    hashMix(h, cfg.regFileKB);
+    hashMix(h, cfg.transposeMB);
+    hashMix(h, cfg.homogeneous ? 1 : 0);
     for (double f : cfg.fuFraction)
-        mixd(f);
+        hashMix(h, f);
     // Mixed only when set: a zero salt keeps the digest byte-identical to
     // pre-salt builds (existing disk plan caches stay valid).
     if (cfg.digestSalt != 0)
-        mix(cfg.digestSalt);
+        hashMix(h, cfg.digestSalt);
     return h;
 }
 

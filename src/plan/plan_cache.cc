@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iterator>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "telemetry/stats_registry.h"
 
@@ -67,14 +68,10 @@ readU32(const u8 *p)
 u64
 PlanKey::combined() const
 {
-    u64 h = 1469598103934665603ull;
-    auto mix = [&h](u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 1099511628211ull;
-    };
-    mix(graphHash);
-    mix(hwDigest);
-    mix(optDigest);
+    u64 h = kHashSeed;
+    hashMix(h, graphHash);
+    hashMix(h, hwDigest);
+    hashMix(h, optDigest);
     return h;
 }
 

@@ -5,19 +5,21 @@
  * @file
  * Content-addressed schedule cache (DESIGN.md §8).
  *
- * Schedules are keyed by (graph structural hash, hardware-config digest,
+ * Schedules are keyed by (exact-graph hash, hardware-config digest,
  * scheduler-options digest): equal keys mean the search would produce the
- * same schedule, so the serialized bytes of a previous search can be
- * returned verbatim. The cache is a two-tier store — an in-memory LRU map
- * over serialized payloads, optionally backed by an on-disk directory so
- * repeated harness runs (e.g. `bench_fig9_overall --plan-cache DIR` twice)
- * skip the search entirely on the second run.
+ * same schedule over the same op ids, so the serialized bytes of a
+ * previous search can be returned verbatim. The cache is a two-tier
+ * store — an in-memory LRU map over serialized payloads, optionally
+ * backed by an on-disk directory so repeated harness runs (e.g.
+ * `bench_fig9_overall --plan-cache DIR` twice) skip the search entirely
+ * on the second run.
  *
  * Contract: a cache hit is byte-identical to a cold search. That holds
  * because (a) the key covers everything the search reads, (b) the payload
- * is the exact serialized Schedule (plan/serialize.h round-trips
- * bit-for-bit), and (c) loads are validated — wrong magic, version, key
- * echo, size, or checksum fall back to a miss, never to a wrong schedule.
+ * is the exact serialized Schedule minus its graph, which the reader
+ * rebuilds from the caller's (plan/serialize.h round-trips bit-for-bit),
+ * and (c) loads are validated — wrong magic, version, key echo, size, or
+ * checksum fall back to a miss, never to a wrong schedule.
  *
  * Thread safety: all operations take an internal mutex; concurrent lookups
  * and inserts from the scheduler's thread pool are safe. Disk writes go to
@@ -42,7 +44,9 @@ namespace crophe::plan {
 /** Cache key: everything the schedule search depends on. */
 struct PlanKey
 {
-    u64 graphHash = 0;  ///< graph::Graph::structuralHash over topo order
+    /** Every op in id order, all its fields and both adjacency lists in
+     *  insertion order (sched::scheduleGraph's planKeyFor). */
+    u64 graphHash = 0;
     u64 hwDigest = 0;   ///< hw::configDigest
     u64 optDigest = 0;  ///< sched::optionsDigest
 

@@ -3,7 +3,9 @@
 #include <cstring>
 #include <utility>
 
+#include "common/math_util.h"
 #include "sched/loopnest.h"
+#include "sched/ntt_decomp.h"
 
 namespace crophe::plan {
 
@@ -117,119 +119,6 @@ namespace {
 constexpr u64 kMaxListLen = 1u << 24;
 
 void
-writeOp(const graph::Op &op, ByteWriter &w)
-{
-    w.putU8(static_cast<u8>(op.kind));
-    w.putString(op.label);
-    w.putU64(op.n);
-    w.putU64(op.n1);
-    w.putU64(op.n2);
-    w.putU32(op.limbsIn);
-    w.putU32(op.limbsOut);
-    w.putU32(op.beta);
-    w.putU64(op.inputWords);
-    w.putU64(op.outputWords);
-    w.putU64(op.auxWords);
-    w.putString(op.auxKey);
-    w.putU64(op.flops);
-    w.putU64(op.streamAxes.size());
-    for (graph::StreamAxis a : op.streamAxes)
-        w.putU8(static_cast<u8>(a));
-    w.putU8(op.orientationSwitch ? 1 : 0);
-}
-
-bool
-readOp(ByteReader &r, graph::Op &op)
-{
-    u8 kind, orient;
-    u64 axes;
-    if (!r.getU8(kind) || !r.getString(op.label) || !r.getU64(op.n) ||
-        !r.getU64(op.n1) || !r.getU64(op.n2) || !r.getU32(op.limbsIn) ||
-        !r.getU32(op.limbsOut) || !r.getU32(op.beta) ||
-        !r.getU64(op.inputWords) || !r.getU64(op.outputWords) ||
-        !r.getU64(op.auxWords) || !r.getString(op.auxKey) ||
-        !r.getU64(op.flops) || !r.getU64(axes))
-        return false;
-    if (kind > static_cast<u8>(graph::OpKind::Rescale) ||
-        axes > kMaxListLen)
-        return false;
-    op.kind = static_cast<graph::OpKind>(kind);
-    op.streamAxes.clear();
-    op.streamAxes.reserve(static_cast<std::size_t>(axes));
-    for (u64 i = 0; i < axes; ++i) {
-        u8 a;
-        if (!r.getU8(a) || a > static_cast<u8>(graph::StreamAxis::None))
-            return false;
-        op.streamAxes.push_back(static_cast<graph::StreamAxis>(a));
-    }
-    if (!r.getU8(orient) || orient > 1)
-        return false;
-    op.orientationSwitch = orient != 0;
-    return true;
-}
-
-bool
-readIdList(ByteReader &r, u32 n_ops, std::vector<graph::OpId> &out)
-{
-    u64 count;
-    if (!r.getU64(count) || count > kMaxListLen)
-        return false;
-    out.clear();
-    out.reserve(static_cast<std::size_t>(count));
-    for (u64 i = 0; i < count; ++i) {
-        u32 id;
-        if (!r.getU32(id) || id >= n_ops)
-            return false;
-        out.push_back(id);
-    }
-    return true;
-}
-
-void
-writeGraph(const graph::Graph &g, ByteWriter &w)
-{
-    w.putU32(g.size());
-    for (graph::OpId v = 0; v < g.size(); ++v)
-        writeOp(g.op(v), w);
-    for (graph::OpId v = 0; v < g.size(); ++v) {
-        const auto &succ = g.consumers(v);
-        w.putU64(succ.size());
-        for (graph::OpId c : succ)
-            w.putU32(c);
-    }
-    for (graph::OpId v = 0; v < g.size(); ++v) {
-        const auto &pred = g.producers(v);
-        w.putU64(pred.size());
-        for (graph::OpId p : pred)
-            w.putU32(p);
-    }
-}
-
-bool
-readGraph(ByteReader &r, graph::Graph &g)
-{
-    u32 n_ops;
-    if (!r.getU32(n_ops) || n_ops > kMaxListLen)
-        return false;
-    g = graph::Graph();
-    for (u32 v = 0; v < n_ops; ++v) {
-        graph::Op op;
-        if (!readOp(r, op))
-            return false;
-        g.add(std::move(op));
-    }
-    std::vector<std::vector<graph::OpId>> succ(n_ops), pred(n_ops);
-    for (u32 v = 0; v < n_ops; ++v)
-        if (!readIdList(r, n_ops, succ[v]))
-            return false;
-    for (u32 v = 0; v < n_ops; ++v)
-        if (!readIdList(r, n_ops, pred[v]))
-            return false;
-    // Validated once, softly: corrupt cache payloads fail the decode.
-    return g.tryRestoreEdges(std::move(succ), std::move(pred));
-}
-
-void
 writeStats(const sched::SchedStats &s, ByteWriter &w)
 {
     w.putDouble(s.cycles);
@@ -277,7 +166,6 @@ writeSpatialGroup(const sched::SpatialGroup &sg, ByteWriter &w)
     w.putU64(sg.sramWords);
     w.putU64(sg.nocWords);
     w.putU64(sg.bufferWords);
-    w.putU64(sg.extWords);
     w.putU64(sg.flops);
     w.putU64(sg.auxNeeds.size());
     for (const auto &[key, words] : sg.auxNeeds) {
@@ -332,8 +220,8 @@ readSpatialGroup(ByteReader &r, u32 n_ops, sched::SpatialGroup &sg)
     }
     if (!r.getDouble(sg.computeCycles) || !r.getU64(sg.dramWords) ||
         !r.getU64(sg.sramWords) || !r.getU64(sg.nocWords) ||
-        !r.getU64(sg.bufferWords) || !r.getU64(sg.extWords) ||
-        !r.getU64(sg.flops) || !r.getU64(count) || count > kMaxListLen)
+        !r.getU64(sg.bufferWords) || !r.getU64(sg.flops) ||
+        !r.getU64(count) || count > kMaxListLen)
         return false;
     sg.auxNeeds.clear();
     for (u64 i = 0; i < count; ++i) {
@@ -349,42 +237,32 @@ readSpatialGroup(ByteReader &r, u32 n_ops, sched::SpatialGroup &sg)
 void
 writeScheduleBody(const sched::Schedule &s, ByteWriter &w)
 {
-    writeGraph(s.graph, w);
-    w.putU64(s.sequence.size());
-    for (const auto &tg : s.sequence) {
-        w.putU64(tg.groups.size());
-        for (const auto &sg : tg.groups)
-            writeSpatialGroup(sg, w);
-        w.putU64(tg.residentAuxWords);
-        w.putDouble(tg.cycles);
-    }
+    w.putU64(s.nttN1);
+    w.putU64(s.groups.size());
+    for (const auto &sg : s.groups)
+        writeSpatialGroup(sg, w);
     writeStats(s.stats, w);
     writeStats(s.warmStats, w);
 }
 
 bool
-readScheduleBody(ByteReader &r, sched::Schedule &s)
+readScheduleBody(ByteReader &r, const graph::Graph &g, sched::Schedule &s)
 {
-    if (!readGraph(r, s.graph))
+    u64 n1, n_groups;
+    // 0 names the input graph. A rewrite factor is a power of two of at
+    // least 2, like every candidate of nttDecompositionOptions.
+    if (!r.getU64(n1) || (n1 != 0 && (n1 < 2 || !isPow2(n1))))
         return false;
-    u64 n_temporal;
-    if (!r.getU64(n_temporal) || n_temporal > kMaxListLen)
+    s.nttN1 = n1;
+    s.graph = n1 == 0 ? g : sched::rewriteNttDecomposition(g, n1);
+    if (!r.getU64(n_groups) || n_groups > kMaxListLen)
         return false;
-    s.sequence.clear();
-    for (u64 t = 0; t < n_temporal; ++t) {
-        sched::TemporalGroup tg;
-        u64 n_groups;
-        if (!r.getU64(n_groups) || n_groups > kMaxListLen)
+    s.groups.clear();
+    for (u64 gi = 0; gi < n_groups; ++gi) {
+        sched::SpatialGroup sg;
+        if (!readSpatialGroup(r, s.graph.size(), sg))
             return false;
-        for (u64 gi = 0; gi < n_groups; ++gi) {
-            sched::SpatialGroup sg;
-            if (!readSpatialGroup(r, s.graph.size(), sg))
-                return false;
-            tg.groups.push_back(std::move(sg));
-        }
-        if (!r.getU64(tg.residentAuxWords) || !r.getDouble(tg.cycles))
-            return false;
-        s.sequence.push_back(std::move(tg));
+        s.groups.push_back(std::move(sg));
     }
     return readStats(r, s.stats) && readStats(r, s.warmStats);
 }
@@ -399,12 +277,13 @@ serializeSchedule(const sched::Schedule &s, ByteWriter &w)
 }
 
 bool
-deserializeSchedule(ByteReader &r, sched::Schedule &out)
+deserializeSchedule(ByteReader &r, const graph::Graph &g,
+                    sched::Schedule &out)
 {
     u32 version;
     if (!r.getU32(version) || version != kPlanFormatVersion)
         return false;
-    return readScheduleBody(r, out) && r.atEnd();
+    return readScheduleBody(r, g, out) && r.atEnd();
 }
 
 std::vector<u8>

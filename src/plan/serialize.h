@@ -6,13 +6,14 @@
  * Versioned binary serialization of schedules and workload results for the
  * plan cache (DESIGN.md §8).
  *
- * The format is deliberately exact: integers are fixed-width little-endian,
- * doubles are stored as their IEEE-754 bit pattern, and the graph's
- * adjacency lists are written in insertion order (group analysis iterates
- * producers/consumers in that order, so a canonicalized re-encode would
- * change downstream behavior). A round-trip therefore reproduces the
- * original structures bit-for-bit, which is what lets the cache promise
- * byte-identical results to a cold search.
+ * A schedule payload holds the schedule alone: the NTT-decomposition
+ * factor its graph was rewritten with, its spatial groups and its stats.
+ * It holds no graph. The plan cache keys each plan by the exact graph it
+ * was searched for, so the reader is handed that graph and rebuilds the
+ * scheduled one from it. The format is deliberately exact: integers are
+ * fixed-width little-endian and doubles are stored as their IEEE-754 bit
+ * pattern, so a round-trip reproduces the schedule bit-for-bit, which is
+ * what lets the cache promise byte-identical results to a cold search.
  */
 
 #include <cstddef>
@@ -25,8 +26,10 @@
 namespace crophe::plan {
 
 /** Bump on ANY layout change; readers reject other versions.
- *  v2: WorkloadResult gained rotScheme / ksDataflow annotation strings. */
-constexpr u32 kPlanFormatVersion = 2;
+ *  v2: WorkloadResult gained rotScheme / ksDataflow annotation strings.
+ *  v3: the schedule's graph gave way to its NTT factor; the temporal
+ *  groups and SpatialGroup::extWords were dropped. */
+constexpr u32 kPlanFormatVersion = 3;
 
 /** Append-only little-endian byte sink. */
 class ByteWriter
@@ -81,12 +84,16 @@ class ByteReader
 };
 
 /**
- * Schedule <-> bytes. serialize writes a version header; deserialize
+ * Schedule <-> bytes. serialize writes a version header and everything
+ * but the graph. deserialize takes @p g, the graph the schedule was
+ * searched for, and sets out.graph to it, or to its rewrite with the
+ * stored NTT factor, before checking the groups against that graph. It
  * returns false (leaving @p out unspecified) on a version mismatch,
  * truncation, or structurally invalid payload. @{
  */
 void serializeSchedule(const sched::Schedule &s, ByteWriter &w);
-bool deserializeSchedule(ByteReader &r, sched::Schedule &out);
+bool deserializeSchedule(ByteReader &r, const graph::Graph &g,
+                         sched::Schedule &out);
 std::vector<u8> scheduleBytes(const sched::Schedule &s);
 /** @} */
 

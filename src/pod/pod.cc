@@ -4,6 +4,7 @@
 #include <map>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/logging.h"
 #include "map/pod_place.h"
 #include "pod/partition.h"
@@ -36,25 +37,15 @@ validatePod(const PodConfig &pod)
 u64
 podDigest(const PodConfig &pod)
 {
-    u64 h = 1469598103934665603ull;
-    auto mix = [&h](u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 1099511628211ull;
-    };
-    auto mixd = [&](double v) {
-        u64 bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mix(bits);
-    };
-    mix(pod.chips);
-    mixd(pod.linkGBs);
-    mixd(pod.linkLatencyCycles);
-    mix(pod.deadChips);
+    u64 h = kHashSeed;
+    hashMix(h, pod.chips);
+    hashMix(h, pod.linkGBs);
+    hashMix(h, pod.linkLatencyCycles);
+    hashMix(h, pod.deadChips);
     // Mixed only when degraded: healthy pods keep their historical
     // digests so existing plan-cache entries stay valid.
     if (pod.linkFraction != 1.0)
-        mixd(pod.linkFraction);
+        hashMix(h, pod.linkFraction);
     return h;
 }
 

@@ -18,30 +18,24 @@ dataflowReport(const Schedule &sched, const hw::HwConfig &cfg)
        << "  dram words: " << sched.stats.dramWords
        << "  sram words: " << sched.stats.sramWords << "\n\n";
 
-    u32 t_idx = 0;
-    for (const auto &tg : sched.sequence) {
-        os << "temporal-group " << t_idx++ << " (resident aux "
-           << tg.residentAuxWords << " words)\n";
-        u32 s_idx = 0;
-        for (const auto &grp : tg.groups) {
-            os << "  spatial-group " << s_idx++ << ": cycles="
-               << grp.cycles << " buffer=" << grp.bufferWords << "\n";
-            for (const auto &alloc : grp.allocs) {
-                const auto &op = sched.graph.op(alloc.op);
-                os << "    op " << alloc.op << " "
-                   << graph::opKindName(op.kind) << " limbs="
-                   << op.limbsIn << "->" << op.limbsOut << " pes="
-                   << alloc.pes;
-                if (!op.auxKey.empty())
-                    os << " aux=" << op.auxKey;
-                os << "\n";
-            }
-            for (const auto &e : grp.internalEdges) {
-                os << "    edge " << e.from << "->" << e.to << " "
-                   << (e.mode == EdgeMode::Pipelined ? "pipelined"
-                                                     : "materialized")
-                   << " granule=" << e.granuleWords << "\n";
-            }
+    u32 s_idx = 0;
+    for (const auto &grp : sched.groups) {
+        os << "spatial-group " << s_idx++ << ": cycles=" << grp.cycles
+           << " buffer=" << grp.bufferWords << "\n";
+        for (const auto &alloc : grp.allocs) {
+            const auto &op = sched.graph.op(alloc.op);
+            os << "  op " << alloc.op << " " << graph::opKindName(op.kind)
+               << " limbs=" << op.limbsIn << "->" << op.limbsOut
+               << " pes=" << alloc.pes;
+            if (!op.auxKey.empty())
+                os << " aux=" << op.auxKey;
+            os << "\n";
+        }
+        for (const auto &e : grp.internalEdges) {
+            os << "  edge " << e.from << "->" << e.to << " "
+               << (e.mode == EdgeMode::Pipelined ? "pipelined"
+                                                 : "materialized")
+               << " granule=" << e.granuleWords << "\n";
         }
     }
     return os.str();

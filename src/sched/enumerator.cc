@@ -1,5 +1,6 @@
 #include "sched/enumerator.h"
 
+#include "common/hash.h"
 #include "common/logging.h"
 
 namespace crophe::sched {
@@ -48,12 +49,12 @@ GroupEnumerator::GroupEnumerator(const graph::Graph &g, hw::HwConfig cfg,
     CROPHE_ASSERT(maxOps_ >= 1, "maxOps must be positive");
     for (u32 i = 0; i < topo_.size(); ++i) {
         pos_[topo_[i]] = i;
-        shape_[i] = graph::kHashSeed;
+        shape_[i] = kHashSeed;
         graph::hashOpShape(shape_[i], g.op(topo_[i]));
     }
     byWindow_.assign(topo_.size() * maxOps_, nullptr);
     cfgKey_ = hw::configDigest(cfg_);
-    graph::hashMix(cfgKey_, mad ? 1 : 0);
+    hashMix(cfgKey_, mad ? 1 : 0);
 }
 
 u64
@@ -68,12 +69,12 @@ GroupEnumerator::windowKey(u32 begin, u32 len) const
     // internal structure but different upstream volumes would collide —
     // and a shared memo would then return whichever analysis was inserted
     // first, making results depend on thread timing.
-    u64 h = graph::kHashSeed;
+    u64 h = kHashSeed;
     for (u32 i = begin; i < begin + len; ++i) {
-        graph::hashMix(h, shape_[i]);
+        hashMix(h, shape_[i]);
         for (OpId c : g_->consumers(topo_[i])) {
             const u32 rel = pos_[c] - begin;
-            graph::hashMix(h, rel < len ? rel : ~0ull);
+            hashMix(h, rel < len ? rel : ~0ull);
         }
     }
     for (u32 i = begin; i < begin + len; ++i) {
@@ -81,11 +82,11 @@ GroupEnumerator::windowKey(u32 begin, u32 len) const
             if (pos_[p] - begin < len)
                 continue;  // inside the window
             const graph::Op &prod = g_->op(p);
-            graph::hashMix(h, prod.outputWords);
-            graph::hashMix(h, prod.kind == graph::OpKind::Input ? 1 : 0);
+            hashMix(h, prod.outputWords);
+            hashMix(h, prod.kind == graph::OpKind::Input ? 1 : 0);
         }
     }
-    graph::hashMix(h, cfgKey_);
+    hashMix(h, cfgKey_);
     return h;
 }
 

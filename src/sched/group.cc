@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/math_util.h"
 
@@ -27,22 +28,18 @@ SchedStats::accumulate(const SchedStats &other)
 u64
 optionsDigest(const SchedOptions &opt)
 {
-    u64 h = 1469598103934665603ull;
-    auto mix = [&h](u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 1099511628211ull;
-    };
-    mix(opt.crossOpDataflow ? 1 : 0);
-    mix(opt.nttDecomp ? 1 : 0);
-    mix(opt.maxGroupOps);
-    mix(opt.clusters);
+    u64 h = kHashSeed;
+    hashMix(h, opt.crossOpDataflow ? 1 : 0);
+    hashMix(h, opt.nttDecomp ? 1 : 0);
+    hashMix(h, opt.maxGroupOps);
+    hashMix(h, opt.clusters);
     // pruneSearch provably does not change the chosen schedule (the bound
     // is admissible, DESIGN.md §8), but it stays in the key as insurance:
     // a future inexact bound must never validate against exact-search
     // cache entries.
-    mix(opt.pruneSearch ? 1 : 0);
-    mix(opt.rotSchemeMask);
-    mix(opt.ksDataflowMask);
+    hashMix(h, opt.pruneSearch ? 1 : 0);
+    hashMix(h, opt.rotSchemeMask);
+    hashMix(h, opt.ksDataflowMask);
     // deadlineSeconds is deliberately NOT mixed: a deadline can only
     // produce degraded schedules, which are never inserted into the plan
     // cache, so every cached entry is the exact result for this digest.
@@ -196,19 +193,15 @@ analyzeSpatialGroup(const Graph &g, const std::vector<OpId> &ops,
 
         // Inputs produced outside the group arrive via the global buffer.
         for (OpId p : g.producers(id)) {
-            if (!inside(p) && g.op(p).kind != OpKind::Input) {
+            if (!inside(p) && g.op(p).kind != OpKind::Input)
                 out.sramWords += g.op(p).outputWords;
-                out.extWords += g.op(p).outputWords;
-            }
         }
         // Outputs consumed outside the group return to the global buffer.
         bool external_consumer = g.consumers(id).empty();
         for (OpId c : g.consumers(id))
             external_consumer |= !inside(c);
-        if (external_consumer && op.outputWords > 0) {
+        if (external_consumer && op.outputWords > 0)
             out.sramWords += op.outputWords;
-            out.extWords += op.outputWords;
-        }
 
         // Auxiliary constants (evk digits, plaintext diagonals).
         if (op.auxWords > 0) {

@@ -3,10 +3,12 @@
 
 /**
  * @file
- * The three-level dataflow hierarchy of Section V-A:
- * sequential execution → temporal pipelining/sharing → spatial
- * pipelining/sharing — plus the per-group analysis that fills in
- * compute/memory cost and buffer residency.
+ * Schedules of Section V-A's dataflow hierarchy — a sequence of spatial
+ * groups, each pipelining and sharing among its operators — plus the
+ * per-group analysis that fills in compute/memory cost and buffer
+ * residency. The temporal level has no record of its own: the scheduler
+ * models it across the whole sequence (handoff streaming in
+ * applyBufferSpill, aux pinning in applyAuxCaching).
  */
 
 #include <string>
@@ -115,19 +117,10 @@ struct SpatialGroup
     u64 sramWords = 0;           ///< global-buffer traffic
     u64 nocWords = 0;            ///< inter-PE forwarded words
     u64 bufferWords = 0;         ///< peak global-buffer residency
-    u64 extWords = 0;            ///< external in/out tensor volume
     u64 flops = 0;               ///< total modmuls in the group
     /** Distinct aux keys (evk etc.) this group streams in, with volumes. */
     std::vector<std::pair<std::string, u64>> auxNeeds;
     double cycles = 0.0;         ///< bounding resource time
-};
-
-/** Spatial groups sharing the chip back-to-back with resident aux data. */
-struct TemporalGroup
-{
-    std::vector<SpatialGroup> groups;
-    u64 residentAuxWords = 0;  ///< aux kept in SRAM across the group
-    double cycles = 0.0;
 };
 
 /** Aggregate statistics of a schedule (drives Table IV and Figure 11). */
@@ -154,7 +147,11 @@ struct Schedule
     /** The scheduled graph (possibly NTT-decomposition-rewritten); all
      *  group op ids refer to this graph. */
     graph::Graph graph;
-    std::vector<TemporalGroup> sequence;
+    /** The N1 factor the input graph was rewritten with
+     *  (rewriteNttDecomposition), or 0 when graph is the input graph. */
+    u64 nttN1 = 0;
+    /** Spatial groups in execution order. */
+    std::vector<SpatialGroup> groups;
     /** First execution: aux constants fetched cold. */
     SchedStats stats;
     /** Steady-state repetition: aux that fits stays resident on-chip. */

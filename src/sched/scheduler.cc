@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
@@ -411,10 +412,11 @@ applyBufferSpill(const Graph &g, std::vector<SpatialGroup> &groups,
         if (h.consumerGroups.empty())
             continue;
         // Temporal pipelining (Section V-A): a handoff whose consumers run
-        // within the same temporal group (a few spatial groups sharing
-        // the chip back-to-back) streams through a granule-sized buffer —
-        // it occupies no full-tensor residency. MAD has no cross-operator
-        // pipelining, so its handoffs always materialize.
+        // within kTemporalReach spatial groups of its producer (a few
+        // groups sharing the chip back-to-back) streams through a
+        // granule-sized buffer — it occupies no full-tensor residency. MAD
+        // has no cross-operator pipelining, so its handoffs always
+        // materialize.
         constexpr u32 kTemporalReach = 6;
         if (cross_op && h.to <= h.from + kTemporalReach) {
             bool streamable = true;
@@ -556,63 +558,16 @@ applyAuxCaching(std::vector<SpatialGroup> &groups, const hw::HwConfig &cfg,
     return charged;
 }
 
-/**
- * Compose spatial groups into temporal groups (Section V-A): consecutive
- * groups share the chip back-to-back while their buffers and resident aux
- * fit. MAD runs every group standalone.
- */
-std::vector<TemporalGroup>
-composeTemporal(std::vector<SpatialGroup> groups, const hw::HwConfig &cfg,
-                bool cross_op)
-{
-    std::vector<TemporalGroup> sequence;
-    const double capacity = 0.8 * static_cast<double>(cfg.sramWords());
-
-    TemporalGroup current;
-    double resident_words = 0.0;
-
-    auto flush = [&]() {
-        if (current.groups.empty())
-            return;
-        current.residentAuxWords = static_cast<u64>(resident_words);
-        current.cycles = 0.0;
-        for (const auto &g : current.groups)
-            current.cycles += g.cycles;
-        sequence.push_back(std::move(current));
-        current = TemporalGroup();
-        resident_words = 0.0;
-    };
-
-    for (auto &g : groups) {
-        if (!cross_op) {
-            current.groups.push_back(std::move(g));
-            flush();
-            continue;
-        }
-        double new_words = static_cast<double>(g.bufferWords);
-        for (const auto &[key, vol] : g.auxNeeds)
-            new_words += static_cast<double>(vol);
-        if (!current.groups.empty() && resident_words + new_words > capacity)
-            flush();
-        resident_words += new_words;
-        current.groups.push_back(std::move(g));
-    }
-    flush();
-    return sequence;
-}
-
 SchedStats
-summarize(const std::vector<TemporalGroup> &sequence)
+summarize(const std::vector<SpatialGroup> &groups)
 {
     SchedStats st;
-    for (const auto &tg : sequence) {
-        for (const auto &g : tg.groups) {
-            st.cycles += g.cycles;
-            st.dramWords += g.dramWords;
-            st.sramWords += g.sramWords;
-            st.nocWords += g.nocWords;
-            st.flops += g.flops;
-        }
+    for (const auto &g : groups) {
+        st.cycles += g.cycles;
+        st.dramWords += g.dramWords;
+        st.sramWords += g.sramWords;
+        st.nocWords += g.nocWords;
+        st.flops += g.flops;
     }
     return st;
 }
@@ -650,18 +605,13 @@ scheduleOneGraph(const Graph &g, const hw::HwConfig &cfg,
 
     Schedule sched;
     sched.graph = g;
-    {
-        auto warm_seq = composeTemporal(std::move(warm_groups), cfg,
-                                        opt.crossOpDataflow);
-        sched.warmStats = summarize(warm_seq);
-        sched.warmStats.auxDramWords = warm_charged;
-        fillUtilization(sched.warmStats, cfg);
-    }
-    sched.sequence = composeTemporal(std::move(groups), cfg,
-                                     opt.crossOpDataflow);
-    sched.stats = summarize(sched.sequence);
+    sched.warmStats = summarize(warm_groups);
+    sched.warmStats.auxDramWords = warm_charged;
+    fillUtilization(sched.warmStats, cfg);
+    sched.stats = summarize(groups);
     sched.stats.auxDramWords = cold_charged;
     fillUtilization(sched.stats, cfg);
+    sched.groups = std::move(groups);
     sched.degraded = degraded;
     return sched;
 }
@@ -708,6 +658,7 @@ scheduleGraphSearch(const Graph &g, const hw::HwConfig &cfg,
         Graph rewritten = rewriteNttDecomposition(g, options[i]);
         cands[i] = std::make_unique<Schedule>(
             scheduleOneGraph(rewritten, cfg, opt, deadline));
+        cands[i]->nttN1 = options[i];
     });
     bool truncated = best.degraded;
     for (u64 i = 0; i < options.size(); ++i) {
@@ -724,30 +675,33 @@ scheduleGraphSearch(const Graph &g, const hw::HwConfig &cfg,
 
 /**
  * Plan-cache key for scheduling @p g on @p cfg with @p opt. The graph
- * component extends structuralHash (which covers op shapes and edge
- * structure) with the remaining Op fields so any two graphs with equal
- * digests schedule — and print — identically.
+ * component hashes the exact graph: every op in id order (its shape and
+ * every other Op field) with both adjacency lists in insertion order. A
+ * hit's schedule therefore names the caller's own op ids, and the reader
+ * can rebuild its graph from the caller's.
  */
 plan::PlanKey
 planKeyFor(const Graph &g, const hw::HwConfig &cfg, const SchedOptions &opt)
 {
-    auto topo = g.topoOrder();
-    u64 h = g.structuralHash(topo);
-    auto mix = [&h](u64 v) {
-        h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-        h *= 1099511628211ull;
-    };
-    for (OpId id : topo) {
+    u64 h = kHashSeed;
+    hashMix(h, g.size());
+    for (OpId id = 0; id < g.size(); ++id) {
         const graph::Op &op = g.op(id);
-        mix(std::hash<std::string>{}(op.label));
-        mix(op.n2);
-        mix(op.inputWords);
-        mix(op.outputWords);
-        mix(op.flops);
-        mix(op.streamAxes.size());
+        graph::hashOpShape(h, op);
+        hashMix(h, std::hash<std::string>{}(op.label));
+        hashMix(h, op.n2);
+        hashMix(h, op.inputWords);
+        hashMix(h, op.outputWords);
+        hashMix(h, op.flops);
+        hashMix(h, op.streamAxes.size());
         for (graph::StreamAxis a : op.streamAxes)
-            mix(static_cast<u64>(a));
-        mix(op.orientationSwitch ? 1 : 0);
+            hashMix(h, static_cast<u64>(a));
+        hashMix(h, op.orientationSwitch ? 1 : 0);
+        for (const auto *ids : {&g.consumers(id), &g.producers(id)}) {
+            hashMix(h, ids->size());
+            for (OpId v : *ids)
+                hashMix(h, v);
+        }
     }
     plan::PlanKey key;
     key.graphHash = h;
@@ -778,7 +732,7 @@ scheduleGraph(const Graph &g, const hw::HwConfig &cfg,
     if (o.planCache->lookup(key, bytes)) {
         Schedule cached;
         plan::ByteReader reader(bytes);
-        if (plan::deserializeSchedule(reader, cached)) {
+        if (plan::deserializeSchedule(reader, g, cached)) {
             if (o.search != nullptr)
                 o.search->addPlanLookup(true);
             return cached;

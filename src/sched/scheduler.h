@@ -5,8 +5,9 @@
  * @file
  * The CROPHE scheduler (Section V-D): bottom-up composition of spatial
  * groups via dynamic programming over the topological order, temporal
- * grouping for on-chip aux residency, NTT-decomposition choice, and the
- * CROPHE-p data-parallel cluster decision.
+ * handoff streaming and on-chip aux residency across the whole group
+ * sequence, NTT-decomposition choice, and the CROPHE-p data-parallel
+ * cluster decision.
  */
 
 #include "graph/workloads.h"

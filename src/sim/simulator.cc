@@ -225,28 +225,25 @@ simulateSchedule(const sched::Schedule &sched, const hw::HwConfig &cfg,
 
     const bool hooks = rec != nullptr || stats.faultsEnabled;
     SimTime now = 0.0;
-    for (const auto &tg : sched.sequence) {
-        for (const auto &group : tg.groups) {
-            // Synchronous group switching: the next group starts after
-            // the previous completes on all PEs (Section IV-A).
-            SimTime group_start = now;
-            now = simulateGroup(group, sched.graph, cfg, chip, now, stats,
-                                rec, hooks);
-            if (rec != nullptr) {
-                rec->instant("group switch", now);
-                rec->counter("dram.words", now,
-                             static_cast<double>(chip.dram.totalWords()));
-                rec->counter("sram.words", now,
-                             static_cast<double>(chip.sram.totalWords()));
-                rec->counter("noc.words", now,
-                             static_cast<double>(chip.noc.totalWords()));
-            }
-            if (group_hist != nullptr)
-                group_hist->sample(
-                    std::log2(std::max(1.0, now - group_start)));
-            now += kGroupSwitchCycles;
-            stats.flops += group.flops;
+    for (const auto &group : sched.groups) {
+        // Synchronous group switching: the next group starts after the
+        // previous completes on all PEs (Section IV-A).
+        SimTime group_start = now;
+        now = simulateGroup(group, sched.graph, cfg, chip, now, stats, rec,
+                            hooks);
+        if (rec != nullptr) {
+            rec->instant("group switch", now);
+            rec->counter("dram.words", now,
+                         static_cast<double>(chip.dram.totalWords()));
+            rec->counter("sram.words", now,
+                         static_cast<double>(chip.sram.totalWords()));
+            rec->counter("noc.words", now,
+                         static_cast<double>(chip.noc.totalWords()));
         }
+        if (group_hist != nullptr)
+            group_hist->sample(std::log2(std::max(1.0, now - group_start)));
+        now += kGroupSwitchCycles;
+        stats.flops += group.flops;
     }
     stats.cycles = now;
     stats.dramWords = chip.dram.totalWords();

@@ -86,8 +86,8 @@ TEST(Graph, StructuralHashMatchesIsomorphicSubgraphs)
 
 TEST(Graph, StructuralHashValuesArePinned)
 {
-    // Plan-cache keys are built on this hash, so its values must not
-    // drift: a changed value silently orphans every cached plan.
+    // The serving catalog's template hashes are built on this hash, so
+    // its values must not drift: a changed value moves every template hash.
     Graph g = diamond();
     EXPECT_EQ(g.structuralHash({0, 1, 2, 3}), 0xeffd685ae94c8da0ull);
     // A partial window: consumers outside it hash as a sentinel.
@@ -96,36 +96,22 @@ TEST(Graph, StructuralHashValuesArePinned)
     EXPECT_EQ(g.structuralHash({}), 0x14650fb0739d0383ull);
 }
 
-using Lists = std::vector<std::vector<OpId>>;
-
-TEST(Graph, RestoreEdgesKeepsListOrder)
+TEST(Graph, ConnectKeepsListOrder)
 {
+    // Group analysis and the plan-cache key read both adjacency lists in
+    // insertion order, so connect() must keep that order verbatim.
     Graph g = diamond();
-    ASSERT_TRUE(g.tryRestoreEdges({{2, 1}, {3}, {3}, {}},
-                                  {{}, {0}, {0}, {2, 1}}));
-    EXPECT_EQ(g.consumers(0), (std::vector<OpId>{2, 1}));
-    EXPECT_EQ(g.producers(3), (std::vector<OpId>{2, 1}));
-}
-
-TEST(Graph, RestoreEdgesRejectsInconsistentLists)
-{
-    const std::vector<std::pair<Lists, Lists>> bad = {
-        {Lists(3), Lists(4)},                        // misses a node
-        {{{0}, {}, {}, {}}, {{0}, {}, {}, {}}},      // self edge
-        {{{9}, {}, {}, {}}, Lists(4)},               // successor out of range
-        {Lists(4), {{}, {8}, {}, {}}},               // predecessor out of range
-        {{{1}, {}, {}, {}}, Lists(4)},               // one side only
-        {{{1, 1}, {}, {}, {}}, {{}, {0}, {}, {}}},   // multiplicities differ
-    };
-    const Graph want = diamond();
-    for (const auto &[succ, pred] : bad) {
-        Graph g = diamond();
-        EXPECT_FALSE(g.tryRestoreEdges(Lists(succ), Lists(pred)));
-        for (OpId v = 0; v < g.size(); ++v) {
-            EXPECT_EQ(g.consumers(v), want.consumers(v));
-            EXPECT_EQ(g.producers(v), want.producers(v));
-        }
-    }
+    EXPECT_EQ(g.consumers(0), (std::vector<OpId>{1, 2}));
+    EXPECT_EQ(g.producers(3), (std::vector<OpId>{1, 2}));
+    Graph h;
+    for (OpId v = 0; v < g.size(); ++v)
+        h.add(g.op(v));
+    h.connect(0, 2);
+    h.connect(0, 1);
+    h.connect(2, 3);
+    h.connect(1, 3);
+    EXPECT_EQ(h.consumers(0), (std::vector<OpId>{2, 1}));
+    EXPECT_EQ(h.producers(3), (std::vector<OpId>{2, 1}));
 }
 
 }  // namespace

@@ -3,33 +3,31 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/baseline.h"
 #include "common/parallel.h"
 #include "graph/workloads.h"
 #include "hw/config.h"
 #include "plan/plan_cache.h"
 #include "plan/serialize.h"
+#include "sched/enumerator.h"
+#include "sched/ntt_decomp.h"
 #include "sched/scheduler.h"
+#include "tests/plan/plan_test_util.h"
 
 namespace crophe::plan {
 namespace {
 
 namespace fs = std::filesystem;
+using graph::OpId;
 using graph::RotMode;
 using graph::WorkloadOptions;
-
-sched::SchedOptions
-cropheOptions()
-{
-    sched::SchedOptions opt;
-    opt.crossOpDataflow = true;
-    opt.nttDecomp = true;
-    opt.maxGroupOps = 8;
-    return opt;
-}
 
 /** Fresh scratch directory under the test temp dir. */
 std::string
@@ -187,6 +185,127 @@ TEST(PlanCache, DirFromEnv)
 }
 
 /**
+ * x -> y, x -> z, y -> z, z -> o over an Input x, an EwMul y, an EwAdd z
+ * and an Output o, the ops added in the order @p order names them.
+ */
+graph::Graph
+fourOps(const std::string &order)
+{
+    graph::Graph g;
+    std::map<char, OpId> id;
+    for (char c : order) {
+        constexpr u64 kN = 1 << 12;
+        if (c == 'x')
+            id['x'] = g.add(graph::makeInput(kN, 4));
+        else if (c == 'y')
+            id['y'] = g.add(graph::makeEwBinary(graph::OpKind::EwMul, kN, 4));
+        else if (c == 'z')
+            id['z'] = g.add(graph::makeEwBinary(graph::OpKind::EwAdd, kN, 4));
+        else
+            id['o'] = g.add(graph::makeOutput(kN, 4));
+    }
+    g.connect(id.at('x'), id.at('y'));
+    g.connect(id.at('x'), id.at('z'));
+    g.connect(id.at('y'), id.at('z'));
+    g.connect(id.at('z'), id.at('o'));
+    return g;
+}
+
+/** @p g's ops joined by @p edges, connected in the order listed. */
+graph::Graph
+withEdges(const graph::Graph &g,
+          const std::vector<std::pair<OpId, OpId>> &edges)
+{
+    graph::Graph out;
+    for (const graph::Op &op : g.ops())
+        out.add(op);
+    for (auto [from, to] : edges)
+        out.connect(from, to);
+    return out;
+}
+
+TEST(PlanCache, GraphsDifferingOnlyInOpIdsGetTheirOwnPlans)
+{
+    // The same ops and edges, added in two orders: op 1 is z in the first
+    // graph and y in the second. A key over a canonical order would give
+    // both one entry, and the second caller a schedule over the first
+    // graph's op ids.
+    const graph::Graph xzyo = fourOps("xzyo");
+    const graph::Graph xyzo = fourOps("xyzo");
+    auto cfg = hw::configCrophe64();
+    PlanCache cache;
+    sched::SchedOptions opt = cropheOptions();
+    opt.planCache = &cache;
+    const sched::Schedule cold_a = sched::scheduleGraph(xzyo, cfg, opt);
+    const sched::Schedule cold_b = sched::scheduleGraph(xyzo, cfg, opt);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().insertions, 2u);
+
+    const sched::Schedule warm_a = sched::scheduleGraph(xzyo, cfg, opt);
+    const sched::Schedule warm_b = sched::scheduleGraph(xyzo, cfg, opt);
+    EXPECT_EQ(cache.stats().hits, 2u);
+    expectSameGraph(warm_a.graph, xzyo);
+    expectSameGraph(warm_b.graph, xyzo);
+    expectSamePlan(warm_a, cold_a);
+    expectSamePlan(warm_b, cold_b);
+}
+
+TEST(PlanCache, ACopyWithAnyOpFieldOrEdgeChangedMisses)
+{
+    const graph::Graph base = fourOps("xyzo");
+    auto cfg = hw::configCrophe64();
+    PlanCache cache;
+    sched::SchedOptions opt = cropheOptions();
+    opt.planCache = &cache;
+    (void)sched::scheduleGraph(base, cfg, opt);
+    u64 misses = cache.stats().misses;
+    auto misses_once = [&](const graph::Graph &g) {
+        (void)sched::scheduleGraph(g, cfg, opt);
+        return cache.stats().misses == ++misses;
+    };
+
+    // An exact copy hits: the key is a function of the graph alone.
+    (void)sched::scheduleGraph(graph::Graph(base), cfg, opt);
+    EXPECT_EQ(cache.stats().hits, 1u);
+
+    using Edit = std::function<void(graph::Op &)>;
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"kind", [](graph::Op &op) { op.kind = graph::OpKind::EwAdd; }},
+        {"label", [](graph::Op &op) { op.label += "'"; }},
+        {"n", [](graph::Op &op) { op.n *= 2; }},
+        {"n1", [](graph::Op &op) { op.n1 = 64; }},
+        {"n2", [](graph::Op &op) { op.n2 = 64; }},
+        {"limbsIn", [](graph::Op &op) { ++op.limbsIn; }},
+        {"limbsOut", [](graph::Op &op) { ++op.limbsOut; }},
+        {"beta", [](graph::Op &op) { ++op.beta; }},
+        {"inputWords", [](graph::Op &op) { ++op.inputWords; }},
+        {"outputWords", [](graph::Op &op) { ++op.outputWords; }},
+        {"auxWords", [](graph::Op &op) { ++op.auxWords; }},
+        {"auxKey", [](graph::Op &op) { op.auxKey = "ptx:probe"; }},
+        {"flops", [](graph::Op &op) { ++op.flops; }},
+        {"streamAxes",
+         [](graph::Op &op) { op.streamAxes.push_back(graph::StreamAxis::Limb); }},
+        {"orientationSwitch",
+         [](graph::Op &op) { op.orientationSwitch = !op.orientationSwitch; }},
+    };
+    for (const auto &[field, edit] : edits) {
+        graph::Graph g = base;
+        edit(g.op(1));  // the EwMul y
+        EXPECT_TRUE(misses_once(g)) << field;
+    }
+
+    // base's edges are x->y, x->z, y->z, z->o: (0,1), (0,2), (1,2), (2,3).
+    EXPECT_TRUE(misses_once(withEdges(base, {{0, 1}, {0, 2}, {1, 2}, {2, 3},
+                                             {1, 3}})))
+        << "one more edge";
+    EXPECT_TRUE(misses_once(withEdges(base, {{0, 2}, {0, 1}, {1, 2}, {2, 3}})))
+        << "x's consumers in another order";
+    EXPECT_TRUE(misses_once(withEdges(base, {{0, 1}, {1, 2}, {0, 2}, {2, 3}})))
+        << "z's producers in another order";
+    EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+/**
  * The bit-identity contract (DESIGN.md §8): a cache-hit schedule and a
  * pruned search must be byte-equal to a cold full search, for real
  * workloads, at any thread count.
@@ -195,18 +314,36 @@ class PlanIdentity : public testing::TestWithParam<u32>
 {
 };
 
+/** Each segment of @p w scheduled by scheduleGraph, one memo for all. */
+std::vector<sched::Schedule>
+segmentSchedules(const graph::Workload &w, const hw::HwConfig &cfg,
+                 sched::SchedOptions opt)
+{
+    sched::GroupMemo memo;
+    opt.memo = &memo;
+    std::vector<sched::Schedule> out;
+    for (const auto &seg : w.segments)
+        out.push_back(sched::scheduleGraph(seg.graph, cfg, opt));
+    return out;
+}
+
 TEST_P(PlanIdentity, CacheHitMatchesColdSearchByteForByte)
 {
     ThreadPool::setGlobalThreads(GetParam());
     auto cfg = hw::configCrophe64();
     for (const char *name : {"bootstrap", "resnet20"}) {
+        SCOPED_TRACE(std::string(name) + " @ " +
+                     std::to_string(GetParam()) + " threads");
         WorkloadOptions wopt;
         wopt.rotMode = RotMode::MinKs;
         graph::Workload w =
             graph::buildWorkload(name, graph::paramsArk(), wopt);
 
+        // Cold: what scheduleWorkload does, one segment at a time.
+        const std::vector<sched::Schedule> cold_segs =
+            segmentSchedules(w, cfg, cropheOptions());
         sched::WorkloadResult cold =
-            sched::scheduleWorkload(w, cfg, cropheOptions());
+            sched::aggregateWorkload(w, cfg, cold_segs, 1);
 
         PlanCache cache;
         sched::SchedOptions opt = cropheOptions();
@@ -214,11 +351,19 @@ TEST_P(PlanIdentity, CacheHitMatchesColdSearchByteForByte)
         sched::WorkloadResult fill = sched::scheduleWorkload(w, cfg, opt);
         sched::WorkloadResult warm = sched::scheduleWorkload(w, cfg, opt);
 
-        EXPECT_GT(cache.stats().hits, 0u) << name;
-        EXPECT_EQ(workloadResultBytes(fill), workloadResultBytes(cold))
-            << name << " @ " << GetParam() << " threads";
-        EXPECT_EQ(workloadResultBytes(warm), workloadResultBytes(cold))
-            << name << " @ " << GetParam() << " threads";
+        EXPECT_GT(cache.stats().hits, 0u);
+        EXPECT_EQ(workloadResultBytes(fill), workloadResultBytes(cold));
+        EXPECT_EQ(workloadResultBytes(warm), workloadResultBytes(cold));
+
+        // Every segment's hit names the same graph as its cold search.
+        const u64 misses = cache.stats().misses;
+        const std::vector<sched::Schedule> warm_segs =
+            segmentSchedules(w, cfg, opt);
+        EXPECT_EQ(cache.stats().misses, misses);
+        for (std::size_t i = 0; i < w.segments.size(); ++i) {
+            SCOPED_TRACE(w.segments[i].name);
+            expectSamePlan(warm_segs[i], cold_segs[i]);
+        }
     }
 }
 
@@ -237,10 +382,16 @@ TEST_P(PlanIdentity, PrunedSearchMatchesFullSearchByteForByte)
         sched::SchedOptions pruned = cropheOptions();
         pruned.pruneSearch = true;
 
-        sched::WorkloadResult a = sched::scheduleWorkload(w, cfg, full);
-        sched::WorkloadResult b = sched::scheduleWorkload(w, cfg, pruned);
-        EXPECT_EQ(workloadResultBytes(a), workloadResultBytes(b))
+        const std::vector<sched::Schedule> a = segmentSchedules(w, cfg, full);
+        const std::vector<sched::Schedule> b =
+            segmentSchedules(w, cfg, pruned);
+        EXPECT_EQ(workloadResultBytes(sched::aggregateWorkload(w, cfg, a, 1)),
+                  workloadResultBytes(sched::aggregateWorkload(w, cfg, b, 1)))
             << name << " @ " << GetParam() << " threads";
+        for (std::size_t i = 0; i < w.segments.size(); ++i) {
+            SCOPED_TRACE(std::string(name) + "/" + w.segments[i].name);
+            expectSamePlan(a[i], b[i]);
+        }
     }
 }
 
@@ -267,7 +418,45 @@ TEST_P(PlanIdentity, DiskWarmScheduleMatchesColdSchedule)
     opt.planCache = &cache;
     sched::Schedule warm = sched::scheduleGraph(g, cfg, opt);
     EXPECT_GT(cache.stats().diskHits, 0u);
-    EXPECT_EQ(scheduleBytes(warm), scheduleBytes(cold));
+    expectSamePlan(warm, cold);
+}
+
+TEST_P(PlanIdentity, NttDecomposedPlanReadsBackOverItsRewrittenGraph)
+{
+    ThreadPool::setGlobalThreads(GetParam());
+    // Figure 11's CROPHE-64 at 64 MB: the bootstrap's EvalMod segment
+    // schedules best on a four-step rewrite of its NTTs.
+    const auto design =
+        baselines::withSram(baselines::designByName("CROPHE-64"), 64.0);
+    const graph::Workload w =
+        graph::buildBootstrapping(design.params, WorkloadOptions{});
+    const graph::Graph *g = nullptr;
+    for (const auto &seg : w.segments)
+        if (seg.name == "EvalMod")
+            g = &seg.graph;
+    ASSERT_NE(g, nullptr);
+
+    const sched::Schedule cold =
+        sched::scheduleGraph(*g, design.cfg, sched::SchedOptions{});
+    ASSERT_NE(cold.nttN1, 0u);
+    expectSameGraph(cold.graph,
+                    sched::rewriteNttDecomposition(*g, cold.nttN1));
+
+    std::string dir =
+        scratchDir("plan_ntt_disk_t" + std::to_string(GetParam()));
+    sched::SchedOptions opt;
+    {
+        PlanCache cache(dir);
+        opt.planCache = &cache;
+        (void)sched::scheduleGraph(*g, design.cfg, opt);
+    }
+    PlanCache cache(dir);
+    opt.planCache = &cache;
+    const sched::Schedule warm = sched::scheduleGraph(*g, design.cfg, opt);
+    EXPECT_EQ(cache.stats().diskHits, 1u);
+    EXPECT_EQ(cache.stats().misses, 0u);
+    EXPECT_EQ(warm.nttN1, cold.nttN1);
+    expectSamePlan(warm, cold);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, PlanIdentity, testing::Values(1u, 8u),

@@ -8,20 +8,12 @@
 #include "hw/config.h"
 #include "plan/serialize.h"
 #include "sched/loopnest.h"
+#include "sched/ntt_decomp.h"
 #include "sched/scheduler.h"
+#include "tests/plan/plan_test_util.h"
 
 namespace crophe::plan {
 namespace {
-
-sched::SchedOptions
-cropheOptions()
-{
-    sched::SchedOptions opt;
-    opt.crossOpDataflow = true;
-    opt.nttDecomp = true;
-    opt.maxGroupOps = 8;
-    return opt;
-}
 
 TEST(ByteStream, PrimitivesRoundTripExactly)
 {
@@ -84,18 +76,19 @@ TEST(Serialize, ScheduleRoundTripsByteIdentically)
     std::vector<u8> bytes = scheduleBytes(s);
     sched::Schedule back;
     ByteReader r(bytes);
-    ASSERT_TRUE(deserializeSchedule(r, back));
+    ASSERT_TRUE(deserializeSchedule(r, g, back));
     EXPECT_TRUE(r.atEnd());
 
     // Re-encoding the decoded schedule must reproduce the exact bytes:
     // the serializer covers every field the cost model and the simulator
-    // read, including graph adjacency order.
+    // read. The graph is rebuilt from the one the reader is handed.
     EXPECT_EQ(scheduleBytes(back), bytes);
     EXPECT_EQ(back.stats.cycles, s.stats.cycles);
     EXPECT_EQ(back.stats.dramWords, s.stats.dramWords);
     EXPECT_EQ(back.warmStats.cycles, s.warmStats.cycles);
-    EXPECT_EQ(back.sequence.size(), s.sequence.size());
-    EXPECT_EQ(back.graph.size(), g.size());
+    EXPECT_EQ(back.groups.size(), s.groups.size());
+    EXPECT_EQ(back.nttN1, s.nttN1);
+    expectSameGraph(back.graph, s.graph);
 }
 
 TEST(Serialize, RejectsWrongVersion)
@@ -110,7 +103,7 @@ TEST(Serialize, RejectsWrongVersion)
     bytes[0] ^= 0xff;
     sched::Schedule back;
     ByteReader r(bytes);
-    EXPECT_FALSE(deserializeSchedule(r, back));
+    EXPECT_FALSE(deserializeSchedule(r, g, back));
 }
 
 TEST(Serialize, RejectsTruncationAndTrailingGarbage)
@@ -125,121 +118,50 @@ TEST(Serialize, RejectsTruncationAndTrailingGarbage)
     sched::Schedule back;
     {
         ByteReader r(cut);
-        EXPECT_FALSE(deserializeSchedule(r, back));
+        EXPECT_FALSE(deserializeSchedule(r, g, back));
     }
 
     std::vector<u8> padded = bytes;
     padded.push_back(0);
     {
         ByteReader r(padded);
-        EXPECT_FALSE(deserializeSchedule(r, back));
+        EXPECT_FALSE(deserializeSchedule(r, g, back));
     }
-}
-
-using Lists = std::vector<std::vector<graph::OpId>>;
-
-graph::Graph
-diamond()
-{
-    graph::Graph g;
-    graph::OpId in = g.add(graph::makeInput(1 << 10, 4));
-    graph::OpId l =
-        g.add(graph::makeEwBinary(graph::OpKind::EwMul, 1 << 10, 4));
-    graph::OpId r =
-        g.add(graph::makeEwBinary(graph::OpKind::EwAdd, 1 << 10, 4));
-    graph::OpId out = g.add(graph::makeOutput(1 << 10, 4));
-    g.connect(in, l);
-    g.connect(in, r);
-    g.connect(l, out);
-    g.connect(r, out);
-    return g;
-}
-
-/**
- * Bytes of a group-less schedule over @p g whose encoded adjacency lists
- * are replaced by @p succ and @p pred. The lists sit just before the
- * schedule tail: an empty group sequence (one u64) and two SchedStats of
- * ten 8-byte fields each.
- */
-std::vector<u8>
-scheduleWithEdgeLists(const graph::Graph &g, const Lists &succ,
-                      const Lists &pred)
-{
-    sched::Schedule s;
-    s.graph = g;
-    const std::vector<u8> bytes = scheduleBytes(s);
-    std::size_t lists = 0;
-    for (graph::OpId v = 0; v < g.size(); ++v)
-        lists += 16 + 4 * (g.consumers(v).size() + g.producers(v).size());
-    const std::size_t tail = 8 + 2 * 10 * 8;
-    const std::size_t at = bytes.size() - tail - lists;
-
-    ByteWriter w;
-    for (const Lists *side : {&succ, &pred}) {
-        for (const auto &l : *side) {
-            w.putU64(l.size());
-            for (graph::OpId id : l)
-                w.putU32(id);
-        }
-    }
-    std::vector<u8> out(bytes.begin(), bytes.begin() + at);
-    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
-    out.insert(out.end(), bytes.end() - tail, bytes.end());
-    return out;
 }
 
 bool
-decodes(const std::vector<u8> &bytes, sched::Schedule &back)
+decodes(const std::vector<u8> &bytes, const graph::Graph &g,
+        sched::Schedule &back)
 {
     ByteReader r(bytes);
-    return deserializeSchedule(r, back);
+    return deserializeSchedule(r, g, back);
 }
 
-TEST(Serialize, EdgeListsRoundTripInTheirStoredOrder)
+/** @p bytes with the stored NTT factor (the u64 after the version)
+ *  replaced by @p n1. */
+std::vector<u8>
+withNttFactor(std::vector<u8> bytes, u64 n1)
 {
-    graph::Graph g = diamond();
-    sched::Schedule back;
-    // The graph's own lists splice back in unchanged.
-    ASSERT_TRUE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
-                                              {{}, {0}, {0}, {1, 2}}),
-                        back));
-    EXPECT_EQ(back.graph.consumers(0), (std::vector<graph::OpId>{1, 2}));
-    // Any consistent order is accepted and kept verbatim.
-    ASSERT_TRUE(decodes(scheduleWithEdgeLists(g, {{2, 1}, {3}, {3}, {}},
-                                              {{}, {0}, {0}, {2, 1}}),
-                        back));
-    EXPECT_EQ(back.graph.consumers(0), (std::vector<graph::OpId>{2, 1}));
-    EXPECT_EQ(back.graph.producers(3), (std::vector<graph::OpId>{2, 1}));
+    for (int i = 0; i < 8; ++i)
+        bytes[4 + i] = static_cast<u8>(n1 >> (8 * i));
+    return bytes;
 }
 
-TEST(Serialize, CorruptEdgeListsFailSoft)
+TEST(Serialize, RejectsNttFactorsNoSweepCouldTry)
 {
-    graph::Graph g = diamond();
+    const graph::Graph g = graph::buildHMult(graph::paramsArk(), 4);
     sched::Schedule back;
-    // Self edge, consistent on both sides.
-    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{0, 2}, {3}, {3}, {}},
-                                               {{0}, {}, {0}, {1, 2}}),
-                         back));
-    // Successor id out of range.
-    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 9}, {3}, {3}, {}},
-                                               {{}, {0}, {0}, {1, 2}}),
-                         back));
-    // Predecessor id out of range.
-    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
-                                               {{}, {0}, {7}, {1, 2}}),
-                         back));
-    // Successor edge with no matching predecessor entry.
-    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
-                                               {{}, {0}, {}, {1, 2}}),
-                         back));
-    // Same pairs on both sides, different multiplicity.
-    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2, 2}, {3}, {3}, {}},
-                                               {{}, {0}, {0}, {1, 2}}),
-                         back));
-    // Predecessor entry naming the wrong producer.
-    EXPECT_FALSE(decodes(scheduleWithEdgeLists(g, {{1, 2}, {3}, {3}, {}},
-                                               {{}, {0}, {0}, {1, 0}}),
-                         back));
+    // A group-less schedule decodes under any factor the sweep could
+    // have tried, and its graph is the input rewritten with it.
+    const std::vector<u8> empty = scheduleBytes(sched::Schedule{});
+    for (u64 n1 : {0ull, 2ull, 256ull, 1ull << 63}) {
+        ASSERT_TRUE(decodes(withNttFactor(empty, n1), g, back)) << n1;
+        EXPECT_EQ(back.nttN1, n1);
+        expectSameGraph(back.graph,
+                        n1 == 0 ? g : sched::rewriteNttDecomposition(g, n1));
+    }
+    for (u64 n1 : {1ull, 3ull, 6ull, 48ull, ~0ull})
+        EXPECT_FALSE(decodes(withNttFactor(empty, n1), g, back)) << n1;
 }
 
 /**
@@ -250,17 +172,15 @@ template <typename Edit>
 bool
 decodesEdited(Edit edit)
 {
-    sched::Schedule s = sched::scheduleGraph(
-        graph::buildHMult(graph::paramsArk(), 4), hw::configCrophe64(),
-        cropheOptions());
-    for (auto &tg : s.sequence) {
-        for (auto &sg : tg.groups) {
-            if (sg.internalEdges.empty())
-                continue;
-            edit(sg, s.graph);
-            sched::Schedule back;
-            return decodes(scheduleBytes(s), back);
-        }
+    const graph::Graph g = graph::buildHMult(graph::paramsArk(), 4);
+    sched::Schedule s =
+        sched::scheduleGraph(g, hw::configCrophe64(), cropheOptions());
+    for (auto &sg : s.groups) {
+        if (sg.internalEdges.empty())
+            continue;
+        edit(sg, s.graph);
+        sched::Schedule back;
+        return decodes(scheduleBytes(s), g, back);
     }
     ADD_FAILURE() << "no spatial group has an internal edge";
     return false;

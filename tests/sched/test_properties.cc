@@ -42,9 +42,8 @@ TEST_P(ConfigSweep, ScheduleInvariants)
 
     // Every op of the (possibly rewritten) graph is scheduled once.
     u32 covered = 0;
-    for (const auto &tg : s.sequence)
-        for (const auto &grp : tg.groups)
-            covered += static_cast<u32>(grp.allocs.size());
+    for (const auto &grp : s.groups)
+        covered += static_cast<u32>(grp.allocs.size());
     EXPECT_EQ(covered, s.graph.size());
 }
 

@@ -59,9 +59,8 @@ TEST(Scheduler, CoversEveryOpExactlyOnce)
     Schedule s = scheduleGraph(g, hw::configCrophe64(), cropheOptions());
 
     u32 covered = 0;
-    for (const auto &tg : s.sequence)
-        for (const auto &sg : tg.groups)
-            covered += static_cast<u32>(sg.allocs.size());
+    for (const auto &sg : s.groups)
+        covered += static_cast<u32>(sg.allocs.size());
     // NTT decomposition may rewrite the graph, so coverage is >= original.
     EXPECT_GE(covered, g.size());
     EXPECT_GT(s.stats.cycles, 0.0);

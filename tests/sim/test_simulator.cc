@@ -130,7 +130,7 @@ TEST(SimulatorDeath, RejectsAConsumerListedBeforeItsProducer)
     sched::SpatialGroup group;
     group.allocs = {{mul, 1, 4}, {in, 1, 4}};
     group.internalEdges.push_back({in, mul});
-    s.sequence.emplace_back().groups.push_back(group);
+    s.groups.push_back(group);
     EXPECT_DEATH(simulateSchedule(s, hw::configCrophe64()),
                  "is listed before its producer");
 }

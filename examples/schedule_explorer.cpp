@@ -53,9 +53,9 @@ main()
     wopt.rHyb = choice.rHyb;
     auto w = graph::buildWorkload("bootstrap", params, wopt);
     auto seg_sched = sched::scheduleGraph(w.segments[0].graph, cfg, opt);
-    const auto groups = static_cast<u32>(seg_sched.groups.size());
+    const auto groups = static_cast<u32>(seg_sched.groups->size());
     u32 ops = 0;
-    for (const auto &g : seg_sched.groups)
+    for (const auto &g : *seg_sched.groups)
         ops += static_cast<u32>(g.allocs.size());
     std::printf("  segment '%s': %u ops in %u spatial groups, "
                 "%.1f ops/group\n",

@@ -7,14 +7,25 @@
 
 namespace crophe::graph {
 
+Graph::Body &
+Graph::ownBody()
+{
+    // The acquire load pairs with the release decrement of the last other
+    // holder, so its reads of the body happen before the writes here.
+    if (body_->refs.load(std::memory_order_acquire) != 1)
+        release(std::exchange(body_, new Body(*body_)));
+    return *body_;
+}
+
 OpId
 Graph::add(Op op)
 {
-    OpId id = static_cast<OpId>(ops_.size());
+    Body &b = ownBody();
+    OpId id = static_cast<OpId>(b.ops.size());
     op.id = id;
-    ops_.push_back(std::move(op));
-    succ_.emplace_back();
-    pred_.emplace_back();
+    b.ops.push_back(std::move(op));
+    b.succ.emplace_back();
+    b.pred.emplace_back();
     return id;
 }
 
@@ -23,8 +34,9 @@ Graph::connect(OpId from, OpId to)
 {
     CROPHE_ASSERT(from < size() && to < size(), "edge endpoint out of range");
     CROPHE_ASSERT(from != to, "self edge");
-    succ_[from].push_back(to);
-    pred_[to].push_back(from);
+    Body &b = ownBody();
+    b.succ[from].push_back(to);
+    b.pred[to].push_back(from);
 }
 
 std::vector<OpId>
@@ -32,7 +44,7 @@ Graph::topoOrder() const
 {
     std::vector<u32> indeg(size(), 0);
     for (OpId v = 0; v < size(); ++v)
-        indeg[v] = static_cast<u32>(pred_[v].size());
+        indeg[v] = static_cast<u32>(producers(v).size());
 
     std::vector<OpId> queue;
     for (OpId v = 0; v < size(); ++v)
@@ -44,7 +56,7 @@ Graph::topoOrder() const
     for (std::size_t head = 0; head < queue.size(); ++head) {
         OpId v = queue[head];
         order.push_back(v);
-        for (OpId w : succ_[v]) {
+        for (OpId w : consumers(v)) {
             if (--indeg[w] == 0)
                 queue.push_back(w);
         }
@@ -58,7 +70,7 @@ Graph::topoOrderAuxAffinity() const
 {
     std::vector<u32> indeg(size(), 0);
     for (OpId v = 0; v < size(); ++v)
-        indeg[v] = static_cast<u32>(pred_[v].size());
+        indeg[v] = static_cast<u32>(producers(v).size());
 
     // Ready set keyed for affinity selection.
     std::set<OpId> ready;
@@ -75,7 +87,7 @@ Graph::topoOrderAuxAffinity() const
         OpId pick = *ready.begin();
         if (!last_aux.empty()) {
             for (OpId v : ready) {
-                if (ops_[v].auxKey == last_aux) {
+                if (op(v).auxKey == last_aux) {
                     pick = v;
                     break;
                 }
@@ -83,9 +95,9 @@ Graph::topoOrderAuxAffinity() const
         }
         ready.erase(pick);
         order.push_back(pick);
-        if (!ops_[pick].auxKey.empty())
-            last_aux = ops_[pick].auxKey;
-        for (OpId w : succ_[pick])
+        if (!op(pick).auxKey.empty())
+            last_aux = op(pick).auxKey;
+        for (OpId w : consumers(pick))
             if (--indeg[w] == 0)
                 ready.insert(w);
     }
@@ -97,7 +109,7 @@ u64
 Graph::totalFlops() const
 {
     u64 total = 0;
-    for (const auto &op : ops_)
+    for (const auto &op : ops())
         total += op.flops;
     return total;
 }
@@ -107,7 +119,7 @@ Graph::totalAuxWords() const
 {
     u64 total = 0;
     std::set<std::string> seen;
-    for (const auto &op : ops_) {
+    for (const auto &op : ops()) {
         if (op.auxWords == 0)
             continue;
         if (op.auxKey.empty()) {
@@ -144,8 +156,8 @@ Graph::structuralHash(const std::vector<OpId> &nodes) const
 
     u64 h = kHashSeed;
     for (OpId id : nodes) {
-        hashOpShape(h, ops_[id]);
-        for (OpId c : succ_[id]) {
+        hashOpShape(h, op(id));
+        for (OpId c : consumers(id)) {
             u32 pos = index.find(c);
             hashMix(h, pos == PositionIndex::kNotFound ? ~0ull : pos);
         }
@@ -162,11 +174,11 @@ Graph::inducedSubgraph(const std::vector<OpId> &nodes) const
         CROPHE_ASSERT(id < size(), "subgraph node out of range");
         CROPHE_ASSERT(local.find(id) == local.end(),
                       "duplicate subgraph node ", id);
-        local[id] = sub.add(ops_[id]);
+        local[id] = sub.add(op(id));
     }
     for (OpId id : nodes) {
         const OpId to = local[id];
-        for (OpId p : pred_[id]) {
+        for (OpId p : producers(id)) {
             auto it = local.find(p);
             if (it != local.end()) {
                 // Internal edges are connected from the consumer side (in
@@ -176,20 +188,20 @@ Graph::inducedSubgraph(const std::vector<OpId> &nodes) const
             }
             // The external producer becomes a boundary Input carrying the
             // crossing ciphertext's volume.
-            const Op &ext = ops_[p];
+            const Op &ext = op(p);
             OpId in = sub.add(makeInput(ext.n, ext.limbsOut,
                                         "xchip:" + ext.label));
             sub.connect(in, to);
         }
-        for (OpId p : pred_[id]) {
+        for (OpId p : producers(id)) {
             auto it = local.find(p);
             if (it != local.end())
                 sub.connect(it->second, to);
         }
-        for (OpId c : succ_[id]) {
+        for (OpId c : consumers(id)) {
             if (local.find(c) != local.end())
                 continue;
-            OpId out = sub.add(makeOutput(ops_[id].n, ops_[id].limbsOut));
+            OpId out = sub.add(makeOutput(op(id).n, op(id).limbsOut));
             sub.connect(to, out);
         }
     }

@@ -9,6 +9,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,11 +69,33 @@ class PositionIndex
     std::vector<std::pair<OpId, u32>> sorted_;
 };
 
-/** Directed acyclic graph of FHE operators. */
+/**
+ * Directed acyclic graph of FHE operators.
+ *
+ * Copies share one body holding the ops and both adjacency lists, so
+ * copying a graph (into every Schedule, for one) costs a reference-count
+ * bump. add() and connect() are the only mutators: each clones the body
+ * first when another copy still holds it (copy-on-write), so no copy
+ * ever sees another's later edits. A moved-from graph may only be
+ * assigned to or destroyed.
+ */
 class Graph
 {
   public:
-    Graph() = default;
+    Graph() : body_(new Body) {}
+    Graph(const Graph &other) noexcept : body_(other.body_)
+    {
+        body_->refs.fetch_add(1, std::memory_order_relaxed);
+    }
+    Graph(Graph &&other) noexcept : body_(std::exchange(other.body_, nullptr))
+    {
+    }
+    Graph &operator=(Graph other) noexcept
+    {
+        std::swap(body_, other.body_);
+        return *this;
+    }
+    ~Graph() { release(body_); }
 
     /** Add a node; returns its id. */
     OpId add(Op op);
@@ -80,13 +103,18 @@ class Graph
     /** Add a dependency edge from @p from to @p to. */
     void connect(OpId from, OpId to);
 
-    u32 size() const { return static_cast<u32>(ops_.size()); }
-    const Op &op(OpId id) const { return ops_[id]; }
-    Op &op(OpId id) { return ops_[id]; }
-    const std::vector<Op> &ops() const { return ops_; }
+    u32 size() const { return static_cast<u32>(body_->ops.size()); }
+    const Op &op(OpId id) const { return body_->ops[id]; }
+    const std::vector<Op> &ops() const { return body_->ops; }
 
-    const std::vector<OpId> &consumers(OpId id) const { return succ_[id]; }
-    const std::vector<OpId> &producers(OpId id) const { return pred_[id]; }
+    const std::vector<OpId> &consumers(OpId id) const
+    {
+        return body_->succ[id];
+    }
+    const std::vector<OpId> &producers(OpId id) const
+    {
+        return body_->pred[id];
+    }
 
     /** Topological order of all node ids; panics on a cycle. */
     std::vector<OpId> topoOrder() const;
@@ -127,9 +155,33 @@ class Graph
     Graph inducedSubgraph(const std::vector<OpId> &nodes) const;
 
   private:
-    std::vector<Op> ops_;
-    std::vector<std::vector<OpId>> succ_;
-    std::vector<std::vector<OpId>> pred_;
+    /** The storage copies share, with the count of graphs holding it. */
+    struct Body
+    {
+        std::vector<Op> ops;
+        std::vector<std::vector<OpId>> succ;
+        std::vector<std::vector<OpId>> pred;
+        std::atomic<u32> refs{1};
+
+        Body() = default;
+        Body(const Body &other)
+            : ops(other.ops), succ(other.succ), pred(other.pred)
+        {
+        }
+    };
+
+    static void
+    release(Body *body) noexcept
+    {
+        if (body != nullptr &&
+            body->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            delete body;
+    }
+
+    /** The body, cloned first if another graph shares it. */
+    Body &ownBody();
+
+    Body *body_;
 };
 
 }  // namespace crophe::graph

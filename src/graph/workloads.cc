@@ -77,8 +77,9 @@ appendHoistModUp(Graph &g, const FheParams &p, u32 level, OpId source)
     const u32 ext = p.extLimbsAt(level);
 
     // Join node representing the ModUp-ed digit tensor.
-    OpId join = g.add(makeEwBinary(OpKind::EwAdd, n, ext));
-    g.op(join).label = "modup-join";
+    Op join_op = makeEwBinary(OpKind::EwAdd, n, ext);
+    join_op.label = "modup-join";
+    OpId join = g.add(std::move(join_op));
     for (u32 j = 0; j < beta; ++j) {
         u32 lo = j * p.alpha;
         u32 hi = std::min((j + 1) * p.alpha, level + 1);

@@ -11,6 +11,7 @@
 
 #include "common/hash.h"
 #include "common/logging.h"
+#include "plan/serialize.h"
 #include "telemetry/stats_registry.h"
 
 namespace crophe::plan {
@@ -21,11 +22,11 @@ constexpr u8 kMagic[4] = {'C', 'R', 'P', 'L'};
 constexpr u32 kDiskFormatVersion = 1;
 
 u64
-fnv1a(const std::vector<u8> &bytes)
+fnv1a(const u8 *bytes, std::size_t size)
 {
     u64 h = 1469598103934665603ull;
-    for (u8 b : bytes) {
-        h ^= b;
+    for (std::size_t i = 0; i < size; ++i) {
+        h ^= bytes[i];
         h *= 1099511628211ull;
     }
     return h;
@@ -88,27 +89,49 @@ PlanCache::touchFront(std::list<Entry>::iterator it)
 }
 
 bool
-PlanCache::lookup(const PlanKey &key, std::vector<u8> &out)
+PlanCache::remember(const PlanKey &key, const sched::Schedule &schedule)
+{
+    sched::Schedule plan = schedule;
+    if (plan.nttN1 == 0)
+        plan.graph = graph::Graph();
+    auto it = index_.find(key.combined());
+    if (it != index_.end() && it->second->key == key) {
+        it->second->plan = std::move(plan);
+        touchFront(it->second);
+        return false;
+    }
+    lru_.push_front({key, std::move(plan)});
+    index_[key.combined()] = lru_.begin();
+    while (lru_.size() > maxEntries_) {
+        index_.erase(lru_.back().key.combined());
+        lru_.pop_back();
+        ++stats_.evictions;
+    }
+    return true;
+}
+
+bool
+PlanCache::lookup(const PlanKey &key, const graph::Graph &g,
+                  sched::Schedule &out)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key.combined());
     if (it != index_.end() && it->second->key == key) {
         ++stats_.hits;
         touchFront(it->second);
-        out = it->second->payload;
+        const sched::Schedule &plan = it->second->plan;
+        out = sched::Schedule{.graph = plan.nttN1 == 0 ? g : plan.graph,
+                              .nttN1 = plan.nttN1,
+                              .groups = plan.groups,
+                              .stats = plan.stats,
+                              .warmStats = plan.warmStats};
         return true;
     }
-    if (!dir_.empty() && loadFromDisk(key, out)) {
+    if (!dir_.empty() && loadFromDisk(key, g, out)) {
         ++stats_.diskHits;
         // Promote into the memory tier (counted separately from inserts so
         // tests can tell the tiers apart).
-        lru_.push_front({key, out});
-        index_[key.combined()] = lru_.begin();
-        while (lru_.size() > maxEntries_) {
-            index_.erase(lru_.back().key.combined());
-            lru_.pop_back();
-            ++stats_.evictions;
-        }
+        remember(key, out);
         return true;
     }
     ++stats_.misses;
@@ -116,23 +139,15 @@ PlanCache::lookup(const PlanKey &key, std::vector<u8> &out)
 }
 
 void
-PlanCache::insert(const PlanKey &key, const std::vector<u8> &payload)
+PlanCache::insert(const PlanKey &key, const sched::Schedule &schedule)
 {
+    // dir_ never changes, so the write-through payload is serialized
+    // before taking the lock.
+    const std::vector<u8> payload =
+        dir_.empty() ? std::vector<u8>() : scheduleBytes(schedule);
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key.combined());
-    if (it != index_.end() && it->second->key == key) {
-        it->second->payload = payload;
-        touchFront(it->second);
-    } else {
-        lru_.push_front({key, payload});
-        index_[key.combined()] = lru_.begin();
+    if (remember(key, schedule))
         ++stats_.insertions;
-        while (lru_.size() > maxEntries_) {
-            index_.erase(lru_.back().key.combined());
-            lru_.pop_back();
-            ++stats_.evictions;
-        }
-    }
     if (!dir_.empty())
         writeToDisk(key, payload);
 }
@@ -147,7 +162,8 @@ PlanCache::filePath(const PlanKey &key) const
 }
 
 bool
-PlanCache::loadFromDisk(const PlanKey &key, std::vector<u8> &out)
+PlanCache::loadFromDisk(const PlanKey &key, const graph::Graph &g,
+                        sched::Schedule &out)
 {
     std::ifstream in(filePath(key), std::ios::binary);
     if (!in)
@@ -169,14 +185,14 @@ PlanCache::loadFromDisk(const PlanKey &key, std::vector<u8> &out)
         ++stats_.diskRejects;
         return false;
     }
-    std::vector<u8> payload(file.begin() + kHeader,
-                            file.begin() + kHeader +
-                                static_cast<std::size_t>(payload_size));
-    if (readU64(file.data() + kHeader + payload_size) != fnv1a(payload)) {
+    const u8 *payload = file.data() + kHeader;
+    const auto size = static_cast<std::size_t>(payload_size);
+    ByteReader reader(payload, size);
+    if (readU64(payload + size) != fnv1a(payload, size) ||
+        !deserializeSchedule(reader, g, out)) {
         ++stats_.diskRejects;
         return false;
     }
-    out = std::move(payload);
     return true;
 }
 
@@ -198,7 +214,7 @@ PlanCache::writeToDisk(const PlanKey &key, const std::vector<u8> &payload)
     appendU64(file, key.optDigest);
     appendU64(file, payload.size());
     file.insert(file.end(), payload.begin(), payload.end());
-    appendU64(file, fnv1a(payload));
+    appendU64(file, fnv1a(payload.data(), payload.size()));
 
     // Temp-then-rename so a concurrent reader (or a crash) never sees a
     // half-written entry. The temp name is per-process; two processes

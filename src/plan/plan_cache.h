@@ -7,19 +7,27 @@
  *
  * Schedules are keyed by (exact-graph hash, hardware-config digest,
  * scheduler-options digest): equal keys mean the search would produce the
- * same schedule over the same op ids, so the serialized bytes of a
- * previous search can be returned verbatim. The cache is a two-tier
- * store — an in-memory LRU map over serialized payloads, optionally
- * backed by an on-disk directory so repeated harness runs (e.g.
+ * same schedule over the same op ids, so a previous search's schedule can
+ * be handed out again as it is. The cache is a two-tier store — an
+ * in-memory LRU map of decoded, immutable schedules, optionally backed by
+ * an on-disk directory of serialized ones so repeated harness runs (e.g.
  * `bench_fig9_overall --plan-cache DIR` twice) skip the search entirely
  * on the second run.
  *
  * Contract: a cache hit is byte-identical to a cold search. That holds
- * because (a) the key covers everything the search reads, (b) the payload
- * is the exact serialized Schedule minus its graph, which the reader
- * rebuilds from the caller's (plan/serialize.h round-trips bit-for-bit),
- * and (c) loads are validated — wrong magic, version, key echo, size, or
- * checksum fall back to a miss, never to a wrong schedule.
+ * because (a) the key covers everything the search reads, (b) the memory
+ * tier keeps the searched schedule itself, its groups shared and never
+ * changed, and the disk tier its exact serialization minus the graph
+ * (plan/serialize.h round-trips bit-for-bit), and (c) a disk entry is
+ * validated and decoded once, when it is loaded: wrong magic, version,
+ * key echo, size or checksum, or a payload the reader rejects, falls
+ * back to a miss, never to a wrong schedule.
+ *
+ * A hit costs the key, one LRU probe and two reference-count bumps: the
+ * caller's graph (or, for a plan over an NTT-rewritten graph, the stored
+ * rewrite) and the stored groups. Like the disk tier, the memory tier
+ * trusts the exact-graph key and does not check the groups against the
+ * caller's graph again.
  *
  * Thread safety: all operations take an internal mutex; concurrent lookups
  * and inserts from the scheduler's thread pool are safe. Disk writes go to
@@ -34,6 +42,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "sched/group.h"
 
 namespace crophe::telemetry {
 class StatsRegistry;
@@ -84,19 +93,23 @@ class PlanCache
     explicit PlanCache(std::string dir = "", std::size_t max_entries = 256);
 
     /**
-     * Look up @p key. On a hit (either tier) copies the payload into
-     * @p out and returns true; a disk hit is promoted into the memory
-     * tier. Returns false on a miss or when every candidate entry fails
-     * validation.
+     * Look up @p key, made from graph @p g. On a hit (either tier) sets
+     * @p out to the stored schedule and returns true. Its graph is @p g,
+     * or the stored rewrite of @p g when its nttN1 is not 0. A disk entry
+     * is decoded against @p g and promoted into the memory tier. Returns
+     * false on a miss, or when the disk entry fails validation or
+     * decoding; that counts as a disk reject and a miss, and leaves
+     * @p out unspecified.
      */
-    bool lookup(const PlanKey &key, std::vector<u8> &out);
+    bool lookup(const PlanKey &key, const graph::Graph &g,
+                sched::Schedule &out);
 
     /**
-     * Store @p payload under @p key in the memory tier and, when a
-     * directory is configured, write it through to disk atomically.
-     * Re-inserting an existing key refreshes its LRU position.
+     * Store @p schedule under @p key in the memory tier and, when a
+     * directory is configured, write its serialization through to disk
+     * atomically. Re-inserting an existing key refreshes its LRU position.
      */
-    void insert(const PlanKey &key, const std::vector<u8> &payload);
+    void insert(const PlanKey &key, const sched::Schedule &schedule);
 
     PlanCacheStats stats() const;
 
@@ -114,12 +127,18 @@ class PlanCache
     struct Entry
     {
         PlanKey key;
-        std::vector<u8> payload;
+        /** The schedule as searched, except that its graph is empty when
+         *  nttN1 is 0: a hit takes the caller's graph instead. */
+        sched::Schedule plan;
     };
 
     std::string filePath(const PlanKey &key) const;
-    bool loadFromDisk(const PlanKey &key, std::vector<u8> &out);
+    bool loadFromDisk(const PlanKey &key, const graph::Graph &g,
+                      sched::Schedule &out);
     void writeToDisk(const PlanKey &key, const std::vector<u8> &payload);
+    /** Put @p schedule at the front of the memory tier; false when @p key
+     *  was already there. */
+    bool remember(const PlanKey &key, const sched::Schedule &schedule);
     void touchFront(std::list<Entry>::iterator it);
 
     mutable std::mutex mu_;

@@ -238,8 +238,8 @@ void
 writeScheduleBody(const sched::Schedule &s, ByteWriter &w)
 {
     w.putU64(s.nttN1);
-    w.putU64(s.groups.size());
-    for (const auto &sg : s.groups)
+    w.putU64(s.groups->size());
+    for (const auto &sg : *s.groups)
         writeSpatialGroup(sg, w);
     writeStats(s.stats, w);
     writeStats(s.warmStats, w);
@@ -257,13 +257,15 @@ readScheduleBody(ByteReader &r, const graph::Graph &g, sched::Schedule &s)
     s.graph = n1 == 0 ? g : sched::rewriteNttDecomposition(g, n1);
     if (!r.getU64(n_groups) || n_groups > kMaxListLen)
         return false;
-    s.groups.clear();
+    std::vector<sched::SpatialGroup> groups;
     for (u64 gi = 0; gi < n_groups; ++gi) {
         sched::SpatialGroup sg;
         if (!readSpatialGroup(r, s.graph.size(), sg))
             return false;
-        s.groups.push_back(std::move(sg));
+        groups.push_back(std::move(sg));
     }
+    s.groups = std::make_shared<const std::vector<sched::SpatialGroup>>(
+        std::move(groups));
     return readStats(r, s.stats) && readStats(r, s.warmStats);
 }
 

@@ -19,7 +19,7 @@ dataflowReport(const Schedule &sched, const hw::HwConfig &cfg)
        << "  sram words: " << sched.stats.sramWords << "\n\n";
 
     u32 s_idx = 0;
-    for (const auto &grp : sched.groups) {
+    for (const auto &grp : *sched.groups) {
         os << "spatial-group " << s_idx++ << ": cycles=" << grp.cycles
            << " buffer=" << grp.bufferWords << "\n";
         for (const auto &alloc : grp.allocs) {

@@ -11,6 +11,7 @@
  * applyBufferSpill, aux pinning in applyAuxCaching).
  */
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -141,18 +142,26 @@ struct SchedStats
     void accumulate(const SchedStats &other);
 };
 
-/** A complete schedule for one workload segment (or whole workload). */
+/**
+ * A complete schedule for one workload segment (or whole workload).
+ * Copies are cheap: the graph and the groups are shared, not copied, so
+ * a plan-cache hit hands out the stored schedule itself (DESIGN.md §8).
+ */
 struct Schedule
 {
     /** The scheduled graph (possibly NTT-decomposition-rewritten); all
-     *  group op ids refer to this graph. */
+     *  group op ids refer to this graph. A search or a plan-cache hit
+     *  shares the caller's graph when nttN1 is 0. */
     graph::Graph graph;
     /** The N1 factor the input graph was rewritten with
      *  (rewriteNttDecomposition), or 0 when graph is the input graph. */
     u64 nttN1 = 0;
-    /** Spatial groups in execution order. */
-    std::vector<SpatialGroup> groups;
-    /** First execution: aux constants fetched cold. */
+    /** Spatial groups in execution order; immutable once built, and
+     *  shared by every copy of the schedule and by the plan cache's
+     *  entry for it. Null only in a default-constructed schedule. */
+    std::shared_ptr<const std::vector<SpatialGroup>> groups;
+    /** First execution: aux constants fetched cold. Values, not shared:
+     *  callers such as simulateWorkload rewrite them per copy. */
     SchedStats stats;
     /** Steady-state repetition: aux that fits stays resident on-chip. */
     SchedStats warmStats;

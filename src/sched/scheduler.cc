@@ -13,7 +13,6 @@
 #include "common/math_util.h"
 #include "common/parallel.h"
 #include "plan/plan_cache.h"
-#include "plan/serialize.h"
 #include "sched/enumerator.h"
 #include "sched/ntt_decomp.h"
 #include "telemetry/search_telemetry.h"
@@ -611,7 +610,8 @@ scheduleOneGraph(const Graph &g, const hw::HwConfig &cfg,
     sched.stats = summarize(groups);
     sched.stats.auxDramWords = cold_charged;
     fillUtilization(sched.stats, cfg);
-    sched.groups = std::move(groups);
+    sched.groups = std::make_shared<const std::vector<SpatialGroup>>(
+        std::move(groups));
     sched.degraded = degraded;
     return sched;
 }
@@ -728,25 +728,17 @@ scheduleGraph(const Graph &g, const hw::HwConfig &cfg,
         return scheduleGraphSearch(g, cfg, o);
 
     plan::PlanKey key = planKeyFor(g, cfg, o);
-    std::vector<u8> bytes;
-    if (o.planCache->lookup(key, bytes)) {
-        Schedule cached;
-        plan::ByteReader reader(bytes);
-        if (plan::deserializeSchedule(reader, g, cached)) {
-            if (o.search != nullptr)
-                o.search->addPlanLookup(true);
-            return cached;
-        }
-        // An undeserializable payload means a corrupt or stale entry that
-        // slipped past validation; fall back to a full search.
-    }
+    Schedule sched;
+    const bool hit = o.planCache->lookup(key, g, sched);
     if (o.search != nullptr)
-        o.search->addPlanLookup(false);
-    Schedule sched = scheduleGraphSearch(g, cfg, o);
+        o.search->addPlanLookup(hit);
+    if (hit)
+        return sched;
+    sched = scheduleGraphSearch(g, cfg, o);
     // Deadline-truncated schedules are anytime fallbacks, not the exact
     // result this key promises — never cache them (DESIGN.md §9).
     if (!sched.degraded)
-        o.planCache->insert(key, plan::scheduleBytes(sched));
+        o.planCache->insert(key, sched);
     return sched;
 }
 

@@ -225,7 +225,7 @@ simulateSchedule(const sched::Schedule &sched, const hw::HwConfig &cfg,
 
     const bool hooks = rec != nullptr || stats.faultsEnabled;
     SimTime now = 0.0;
-    for (const auto &group : sched.groups) {
+    for (const auto &group : *sched.groups) {
         // Synchronous group switching: the next group starts after the
         // previous completes on all PEs (Section IV-A).
         SimTime group_start = now;

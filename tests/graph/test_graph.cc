@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "graph/graph.h"
 
 namespace crophe::graph {
@@ -112,6 +116,79 @@ TEST(Graph, ConnectKeepsListOrder)
     h.connect(1, 3);
     EXPECT_EQ(h.consumers(0), (std::vector<OpId>{2, 1}));
     EXPECT_EQ(h.producers(3), (std::vector<OpId>{2, 1}));
+}
+
+TEST(Graph, CopiesShareStorageUntilOneIsEdited)
+{
+    const Graph g = diamond();
+    Graph copy = g;
+    EXPECT_EQ(&copy.ops(), &g.ops());
+    EXPECT_EQ(&copy.consumers(0), &g.consumers(0));
+
+    // Editing the copy clones it first; the source keeps its ops and edges.
+    const OpId extra = copy.add(makeOutput(1 << 10, 4));
+    copy.connect(3, extra);
+    EXPECT_NE(&copy.ops(), &g.ops());
+    EXPECT_EQ(g.size(), 4u);
+    EXPECT_TRUE(g.consumers(3).empty());
+    EXPECT_EQ(copy.size(), 5u);
+    EXPECT_EQ(copy.consumers(3), (std::vector<OpId>{extra}));
+    EXPECT_EQ(copy.producers(extra), (std::vector<OpId>{3}));
+}
+
+TEST(Graph, EditingTheSourceLeavesItsCopiesAlone)
+{
+    Graph g = diamond();
+    {
+        const Graph copy = g;
+        g.connect(1, 2);
+        EXPECT_EQ(copy.consumers(1), (std::vector<OpId>{3}));
+        EXPECT_EQ(copy.producers(2), (std::vector<OpId>{0}));
+        EXPECT_EQ(g.consumers(1), (std::vector<OpId>{3, 2}));
+        EXPECT_EQ(g.producers(2), (std::vector<OpId>{0, 1}));
+        g.add(makeOutput(1 << 10, 4));
+        EXPECT_EQ(copy.size(), 4u);
+        EXPECT_EQ(g.size(), 5u);
+    }
+    // With no copy left, an edit writes in place.
+    const std::vector<Op> *storage = &g.ops();
+    g.connect(2, 4);
+    EXPECT_EQ(&g.ops(), storage);
+    EXPECT_EQ(g.producers(4), (std::vector<OpId>{2}));
+}
+
+TEST(Graph, CopiesDroppedOnOtherThreadsDoNotRaceLaterEdits)
+{
+    // Each reader copies its copy again, reads both and drops them, and
+    // only then raises a relaxed flag, which orders nothing. An edit that
+    // finds every copy gone writes in place, so the reference count alone
+    // must order the readers' reads before that write (ThreadSanitizer
+    // checks it); an edit that finds a copy still held clones instead.
+    const u64 flops = diamond().totalFlops();
+    for (int round = 0; round < 20; ++round) {
+        Graph g = diamond();
+        std::atomic<int> done{0};
+        std::vector<std::thread> readers;
+        for (int t = 0; t < 4; ++t) {
+            readers.emplace_back([copy = g, flops, &done]() mutable {
+                Graph again = copy;
+                EXPECT_EQ(again.totalFlops() + copy.totalFlops(), 2 * flops);
+                EXPECT_EQ(again.consumers(0), (std::vector<OpId>{1, 2}));
+                again = Graph();
+                copy = Graph();
+                done.fetch_add(1, std::memory_order_relaxed);
+            });
+        }
+        // Odd rounds edit once every reader is done, even ones at once.
+        while (round % 2 == 1 && done.load(std::memory_order_relaxed) < 4)
+            std::this_thread::yield();
+        g.connect(1, 2);
+        g.add(makeOutput(1 << 10, 4));
+        for (auto &t : readers)
+            t.join();
+        EXPECT_EQ(g.producers(2), (std::vector<OpId>{0, 1}));
+        EXPECT_EQ(g.size(), 5u);
+    }
 }
 
 }  // namespace

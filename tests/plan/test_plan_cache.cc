@@ -19,6 +19,8 @@
 #include "sched/enumerator.h"
 #include "sched/ntt_decomp.h"
 #include "sched/scheduler.h"
+#include "sim/simulator.h"
+#include "telemetry/search_telemetry.h"
 #include "tests/plan/plan_test_util.h"
 
 namespace crophe::plan {
@@ -46,142 +48,6 @@ key(u64 a, u64 b = 2, u64 c = 3)
     k.hwDigest = b;
     k.optDigest = c;
     return k;
-}
-
-TEST(PlanCache, MemoryTierHitsAndMisses)
-{
-    PlanCache cache;
-    std::vector<u8> out;
-    EXPECT_FALSE(cache.lookup(key(1), out));
-    cache.insert(key(1), {10, 20, 30});
-    ASSERT_TRUE(cache.lookup(key(1), out));
-    EXPECT_EQ(out, (std::vector<u8>{10, 20, 30}));
-    // Same graph hash under a different hw digest is a different plan.
-    EXPECT_FALSE(cache.lookup(key(1, 99), out));
-
-    PlanCacheStats st = cache.stats();
-    EXPECT_EQ(st.hits, 1u);
-    EXPECT_EQ(st.misses, 2u);
-    EXPECT_EQ(st.insertions, 1u);
-    EXPECT_EQ(st.diskWrites, 0u);  // memory-only cache
-}
-
-TEST(PlanCache, LruEvictsOldestEntry)
-{
-    PlanCache cache("", /*max_entries=*/2);
-    cache.insert(key(1), {1});
-    cache.insert(key(2), {2});
-    std::vector<u8> out;
-    ASSERT_TRUE(cache.lookup(key(1), out));  // 1 is now most recent
-    cache.insert(key(3), {3});               // evicts 2
-
-    EXPECT_TRUE(cache.lookup(key(1), out));
-    EXPECT_FALSE(cache.lookup(key(2), out));
-    EXPECT_TRUE(cache.lookup(key(3), out));
-    EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(PlanCache, DiskTierSurvivesProcessRestart)
-{
-    std::string dir = scratchDir("plan_disk");
-    {
-        PlanCache cache(dir);
-        cache.insert(key(7), {4, 5, 6});
-        EXPECT_EQ(cache.stats().diskWrites, 1u);
-    }
-    // A fresh cache (empty memory tier) must serve the entry from disk and
-    // promote it.
-    PlanCache cache(dir);
-    std::vector<u8> out;
-    ASSERT_TRUE(cache.lookup(key(7), out));
-    EXPECT_EQ(out, (std::vector<u8>{4, 5, 6}));
-    EXPECT_EQ(cache.stats().diskHits, 1u);
-    // Second lookup is a memory hit: no second disk read.
-    ASSERT_TRUE(cache.lookup(key(7), out));
-    EXPECT_EQ(cache.stats().diskHits, 1u);
-    EXPECT_EQ(cache.stats().hits, 1u);
-}
-
-TEST(PlanCache, CorruptDiskEntriesAreRejectedNotReturned)
-{
-    std::string dir = scratchDir("plan_corrupt");
-    {
-        PlanCache cache(dir);
-        cache.insert(key(7), {4, 5, 6, 7, 8});
-    }
-    ASSERT_EQ(std::distance(fs::directory_iterator(dir),
-                            fs::directory_iterator()),
-              1);
-    fs::path file = fs::directory_iterator(dir)->path();
-
-    auto readAll = [&file] {
-        std::ifstream is(file, std::ios::binary);
-        return std::vector<char>(std::istreambuf_iterator<char>(is),
-                                 std::istreambuf_iterator<char>());
-    };
-    auto writeAll = [&file](const std::vector<char> &bytes) {
-        std::ofstream os(file, std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    };
-    const std::vector<char> good = readAll();
-    std::vector<u8> out;
-
-    // Flipped payload byte: checksum mismatch.
-    std::vector<char> bad = good;
-    bad[bad.size() - 9] ^= 0x5a;
-    writeAll(bad);
-    {
-        PlanCache cache(dir);
-        EXPECT_FALSE(cache.lookup(key(7), out));
-        EXPECT_EQ(cache.stats().diskRejects, 1u);
-        EXPECT_EQ(cache.stats().misses, 1u);
-    }
-
-    // Truncated file.
-    writeAll(std::vector<char>(good.begin(), good.end() - 3));
-    {
-        PlanCache cache(dir);
-        EXPECT_FALSE(cache.lookup(key(7), out));
-        EXPECT_EQ(cache.stats().diskRejects, 1u);
-    }
-
-    // Stale format version (bytes 4..8 after the magic).
-    bad = good;
-    bad[4] ^= 0x7f;
-    writeAll(bad);
-    {
-        PlanCache cache(dir);
-        EXPECT_FALSE(cache.lookup(key(7), out));
-        EXPECT_EQ(cache.stats().diskRejects, 1u);
-    }
-
-    // Key echo from some other plan (simulates a hash-collision file).
-    {
-        PlanCache seed2(dir);
-        seed2.insert(key(8), {9});
-    }
-    fs::path other;
-    for (const auto &e : fs::directory_iterator(dir))
-        if (e.path() != file)
-            other = e.path();
-    ASSERT_FALSE(other.empty());
-    writeAll(good);
-    fs::copy_file(file, other, fs::copy_options::overwrite_existing);
-    {
-        PlanCache cache(dir);
-        EXPECT_FALSE(cache.lookup(key(8), out));
-        EXPECT_EQ(cache.stats().diskRejects, 1u);
-        // The untouched entry still loads fine.
-        EXPECT_TRUE(cache.lookup(key(7), out));
-    }
-}
-
-TEST(PlanCache, DirFromEnv)
-{
-    ::setenv("CROPHE_PLAN_CACHE", "/tmp/crophe-env-dir", 1);
-    EXPECT_EQ(PlanCache::dirFromEnv(), "/tmp/crophe-env-dir");
-    ::unsetenv("CROPHE_PLAN_CACHE");
-    EXPECT_EQ(PlanCache::dirFromEnv(), "");
 }
 
 /**
@@ -224,6 +90,264 @@ withEdges(const graph::Graph &g,
     return out;
 }
 
+/** @p g rebuilt with op @p id changed by @p edit: its ops are added
+ *  again, then each op's consumers are connected in list order. */
+graph::Graph
+withOpEdited(const graph::Graph &g, OpId id,
+             const std::function<void(graph::Op &)> &edit)
+{
+    graph::Graph out;
+    for (graph::Op op : g.ops()) {
+        if (op.id == id)
+            edit(op);
+        out.add(std::move(op));
+    }
+    for (OpId v = 0; v < g.size(); ++v)
+        for (OpId c : g.consumers(v))
+            out.connect(v, c);
+    return out;
+}
+
+/** The schedule a cold search finds for @p g on CROPHE-64. */
+sched::Schedule
+searched(const graph::Graph &g)
+{
+    return sched::scheduleGraph(g, hw::configCrophe64(), cropheOptions());
+}
+
+TEST(PlanCache, MemoryTierHitsAndMisses)
+{
+    const graph::Graph g = fourOps("xyzo");
+    const sched::Schedule plan = searched(g);
+    PlanCache cache;
+    sched::Schedule out;
+    EXPECT_FALSE(cache.lookup(key(1), g, out));
+    cache.insert(key(1), plan);
+    ASSERT_TRUE(cache.lookup(key(1), g, out));
+    expectSamePlan(out, plan);
+    // Same graph hash under a different hw digest is a different plan.
+    EXPECT_FALSE(cache.lookup(key(1, 99), g, out));
+
+    PlanCacheStats st = cache.stats();
+    EXPECT_EQ(st.hits, 1u);
+    EXPECT_EQ(st.misses, 2u);
+    EXPECT_EQ(st.insertions, 1u);
+    EXPECT_EQ(st.diskWrites, 0u);  // memory-only cache
+}
+
+TEST(PlanCache, MemoryHitsShareTheStoredGroupsAndTheCallersGraph)
+{
+    const graph::Graph g = fourOps("xyzo");
+    const sched::Schedule plan = searched(g);
+    ASSERT_EQ(plan.nttN1, 0u);
+    PlanCache cache;
+    cache.insert(key(1), plan);
+    // A copy of the caller's graph shares its storage, and so do hits.
+    const graph::Graph caller = g;
+    sched::Schedule a, b;
+    ASSERT_TRUE(cache.lookup(key(1), caller, a));
+    ASSERT_TRUE(cache.lookup(key(1), caller, b));
+    EXPECT_EQ(a.groups.get(), plan.groups.get());
+    EXPECT_EQ(b.groups.get(), a.groups.get());
+    EXPECT_EQ(&a.graph.ops(), &caller.ops());
+    EXPECT_EQ(&b.graph.ops(), &caller.ops());
+    expectSamePlan(a, plan);
+}
+
+TEST(PlanCache, LruEvictsOldestEntry)
+{
+    const graph::Graph g1 = fourOps("xyzo");
+    const graph::Graph g2 = fourOps("xzyo");
+    const graph::Graph g3 = fourOps("oxzy");
+    PlanCache cache("", /*max_entries=*/2);
+    cache.insert(key(1), searched(g1));
+    cache.insert(key(2), searched(g2));
+    sched::Schedule out;
+    ASSERT_TRUE(cache.lookup(key(1), g1, out));  // 1 is now most recent
+    cache.insert(key(3), searched(g3));          // evicts 2
+
+    EXPECT_TRUE(cache.lookup(key(1), g1, out));
+    expectSamePlan(out, searched(g1));
+    EXPECT_FALSE(cache.lookup(key(2), g2, out));
+    EXPECT_TRUE(cache.lookup(key(3), g3, out));
+    expectSamePlan(out, searched(g3));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(PlanCache, DiskTierSurvivesProcessRestart)
+{
+    std::string dir = scratchDir("plan_disk");
+    const graph::Graph g = fourOps("xyzo");
+    const sched::Schedule plan = searched(g);
+    {
+        PlanCache cache(dir);
+        cache.insert(key(7), plan);
+        EXPECT_EQ(cache.stats().diskWrites, 1u);
+    }
+    // A fresh cache (empty memory tier) must serve the entry from disk and
+    // promote it.
+    PlanCache cache(dir);
+    sched::Schedule out;
+    ASSERT_TRUE(cache.lookup(key(7), g, out));
+    expectSamePlan(out, plan);
+    EXPECT_EQ(cache.stats().diskHits, 1u);
+    // Second lookup is a memory hit: no second disk read.
+    sched::Schedule again;
+    ASSERT_TRUE(cache.lookup(key(7), g, again));
+    EXPECT_EQ(again.groups.get(), out.groups.get());
+    EXPECT_EQ(cache.stats().diskHits, 1u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+/** The only file in @p dir. */
+fs::path
+onlyFile(const std::string &dir)
+{
+    EXPECT_EQ(std::distance(fs::directory_iterator(dir),
+                            fs::directory_iterator()),
+              1);
+    return fs::directory_iterator(dir)->path();
+}
+
+std::vector<char>
+readAll(const fs::path &file)
+{
+    std::ifstream is(file, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(is),
+                             std::istreambuf_iterator<char>());
+}
+
+void
+writeAll(const fs::path &file, const std::vector<char> &bytes)
+{
+    std::ofstream os(file, std::ios::binary | std::ios::trunc);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(PlanCache, CorruptDiskEntriesAreRejectedNotReturned)
+{
+    std::string dir = scratchDir("plan_corrupt");
+    const graph::Graph g7 = fourOps("xyzo");
+    const graph::Graph g8 = fourOps("xzyo");
+    {
+        PlanCache cache(dir);
+        cache.insert(key(7), searched(g7));
+    }
+    const fs::path file = onlyFile(dir);
+    const std::vector<char> good = readAll(file);
+    sched::Schedule out;
+
+    // Flipped payload byte: checksum mismatch.
+    std::vector<char> bad = good;
+    bad[bad.size() - 9] ^= 0x5a;
+    writeAll(file, bad);
+    {
+        PlanCache cache(dir);
+        EXPECT_FALSE(cache.lookup(key(7), g7, out));
+        EXPECT_EQ(cache.stats().diskRejects, 1u);
+        EXPECT_EQ(cache.stats().misses, 1u);
+    }
+
+    // Truncated file.
+    writeAll(file, std::vector<char>(good.begin(), good.end() - 3));
+    {
+        PlanCache cache(dir);
+        EXPECT_FALSE(cache.lookup(key(7), g7, out));
+        EXPECT_EQ(cache.stats().diskRejects, 1u);
+    }
+
+    // Stale format version (bytes 4..8 after the magic).
+    bad = good;
+    bad[4] ^= 0x7f;
+    writeAll(file, bad);
+    {
+        PlanCache cache(dir);
+        EXPECT_FALSE(cache.lookup(key(7), g7, out));
+        EXPECT_EQ(cache.stats().diskRejects, 1u);
+    }
+
+    // Key echo from some other plan (simulates a hash-collision file).
+    {
+        PlanCache seed2(dir);
+        seed2.insert(key(8), searched(g8));
+    }
+    fs::path other;
+    for (const auto &e : fs::directory_iterator(dir))
+        if (e.path() != file)
+            other = e.path();
+    ASSERT_FALSE(other.empty());
+    writeAll(file, good);
+    fs::copy_file(file, other, fs::copy_options::overwrite_existing);
+    {
+        PlanCache cache(dir);
+        EXPECT_FALSE(cache.lookup(key(8), g8, out));
+        EXPECT_EQ(cache.stats().diskRejects, 1u);
+        // The untouched entry still loads fine.
+        EXPECT_TRUE(cache.lookup(key(7), g7, out));
+        expectSamePlan(out, searched(g7));
+    }
+}
+
+TEST(PlanCache, DiskPlanThatFailsToDecodeIsARejectAndAMiss)
+{
+    // The envelope of the entry stays valid: only the plan-format version
+    // inside the payload changes, and the checksum is recomputed.
+    std::string dir = scratchDir("plan_undecodable");
+    const graph::Graph g = fourOps("xyzo");
+    const auto cfg = hw::configCrophe64();
+    sched::SchedOptions opt = cropheOptions();
+    {
+        PlanCache cache(dir);
+        opt.planCache = &cache;
+        (void)sched::scheduleGraph(g, cfg, opt);
+    }
+    const fs::path file = onlyFile(dir);
+    std::vector<char> bytes = readAll(file);
+    constexpr std::size_t kHeader = 40;  // magic, version, key, size
+    bytes[kHeader] ^= 0x7f;
+    u64 sum = 1469598103934665603ull;  // FNV-1a of the payload
+    for (std::size_t i = kHeader; i + 8 < bytes.size(); ++i) {
+        sum ^= static_cast<u8>(bytes[i]);
+        sum *= 1099511628211ull;
+    }
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] = static_cast<char>(sum >> (8 * i));
+    writeAll(file, bytes);
+
+    PlanCache cache(dir);
+    telemetry::SearchTelemetry search;
+    opt.planCache = &cache;
+    opt.search = &search;
+    const sched::Schedule warm = sched::scheduleGraph(g, cfg, opt);
+    PlanCacheStats st = cache.stats();
+    EXPECT_EQ(st.hits, 0u);
+    EXPECT_EQ(st.diskHits, 0u);
+    EXPECT_EQ(st.diskRejects, 1u);
+    EXPECT_EQ(st.misses, 1u);
+    // The search's plan is a new entry, and it replaces the file.
+    EXPECT_EQ(st.insertions, 1u);
+    EXPECT_EQ(st.diskWrites, 1u);
+    EXPECT_EQ(search.planHits(), 0u);
+    EXPECT_EQ(search.planMisses(), 1u);
+    expectSamePlan(warm, searched(g));
+
+    // The rewritten file loads.
+    PlanCache fresh(dir);
+    opt.planCache = &fresh;
+    opt.search = nullptr;
+    (void)sched::scheduleGraph(g, cfg, opt);
+    EXPECT_EQ(fresh.stats().diskHits, 1u);
+    EXPECT_EQ(fresh.stats().diskRejects, 0u);
+}
+
+TEST(PlanCache, DirFromEnv)
+{
+    ::setenv("CROPHE_PLAN_CACHE", "/tmp/crophe-env-dir", 1);
+    EXPECT_EQ(PlanCache::dirFromEnv(), "/tmp/crophe-env-dir");
+    ::unsetenv("CROPHE_PLAN_CACHE");
+    EXPECT_EQ(PlanCache::dirFromEnv(), "");
+}
+
 TEST(PlanCache, GraphsDifferingOnlyInOpIdsGetTheirOwnPlans)
 {
     // The same ops and edges, added in two orders: op 1 is z in the first
@@ -264,9 +388,13 @@ TEST(PlanCache, ACopyWithAnyOpFieldOrEdgeChangedMisses)
         return cache.stats().misses == ++misses;
     };
 
-    // An exact copy hits: the key is a function of the graph alone.
+    // An exact copy hits: the key is a function of the graph alone. So
+    // does a rebuild with nothing changed, so each edit below is all
+    // that tells its graph from base.
     (void)sched::scheduleGraph(graph::Graph(base), cfg, opt);
-    EXPECT_EQ(cache.stats().hits, 1u);
+    (void)sched::scheduleGraph(withOpEdited(base, 1, [](graph::Op &) {}), cfg,
+                               opt);
+    EXPECT_EQ(cache.stats().hits, 2u);
 
     using Edit = std::function<void(graph::Op &)>;
     const std::vector<std::pair<const char *, Edit>> edits = {
@@ -288,11 +416,9 @@ TEST(PlanCache, ACopyWithAnyOpFieldOrEdgeChangedMisses)
         {"orientationSwitch",
          [](graph::Op &op) { op.orientationSwitch = !op.orientationSwitch; }},
     };
-    for (const auto &[field, edit] : edits) {
-        graph::Graph g = base;
-        edit(g.op(1));  // the EwMul y
-        EXPECT_TRUE(misses_once(g)) << field;
-    }
+    for (const auto &[field, edit] : edits)
+        EXPECT_TRUE(misses_once(withOpEdited(base, 1, edit)))  // the EwMul y
+            << field;
 
     // base's edges are x->y, x->z, y->z, z->o: (0,1), (0,2), (1,2), (2,3).
     EXPECT_TRUE(misses_once(withEdges(base, {{0, 1}, {0, 2}, {1, 2}, {2, 3},
@@ -302,7 +428,7 @@ TEST(PlanCache, ACopyWithAnyOpFieldOrEdgeChangedMisses)
         << "x's consumers in another order";
     EXPECT_TRUE(misses_once(withEdges(base, {{0, 1}, {1, 2}, {0, 2}, {2, 3}})))
         << "z's producers in another order";
-    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().hits, 2u);
 }
 
 /**
@@ -326,6 +452,7 @@ segmentSchedules(const graph::Workload &w, const hw::HwConfig &cfg,
         out.push_back(sched::scheduleGraph(seg.graph, cfg, opt));
     return out;
 }
+
 
 TEST_P(PlanIdentity, CacheHitMatchesColdSearchByteForByte)
 {
@@ -457,6 +584,61 @@ TEST_P(PlanIdentity, NttDecomposedPlanReadsBackOverItsRewrittenGraph)
     EXPECT_EQ(cache.stats().misses, 0u);
     EXPECT_EQ(warm.nttN1, cold.nttN1);
     expectSamePlan(warm, cold);
+
+    // Memory hits hand out the rewrite the disk load built, not a new one.
+    const sched::Schedule hit1 = sched::scheduleGraph(*g, design.cfg, opt);
+    const sched::Schedule hit2 = sched::scheduleGraph(*g, design.cfg, opt);
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(&hit1.graph.ops(), &hit2.graph.ops());
+    EXPECT_EQ(&hit1.graph.ops(), &warm.graph.ops());
+    EXPECT_EQ(hit1.groups.get(), warm.groups.get());
+    expectSamePlan(hit2, cold);
+}
+
+/** Expect every field of two simulations to match exactly. */
+void
+expectSameSimStats(const sim::SimStats &a, const sim::SimStats &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.dramWords, b.dramWords);
+    EXPECT_EQ(a.sramWords, b.sramWords);
+    EXPECT_EQ(a.nocWords, b.nocWords);
+    EXPECT_EQ(a.transposeWords, b.transposeWords);
+    EXPECT_EQ(a.flops, b.flops);
+    EXPECT_EQ(a.events, b.events);
+    EXPECT_EQ(a.peBusy, b.peBusy);
+    EXPECT_EQ(a.dramRowHits, b.dramRowHits);
+    EXPECT_EQ(a.dramRowMisses, b.dramRowMisses);
+}
+
+TEST(PlanCache, PoolThreadsSimulateOneSharedHit)
+{
+    // Every thread's hit shares one groups object and the caller's graph;
+    // simulating them all at once must match a cold search's simulation.
+    ThreadPool::setGlobalThreads(8);
+    const graph::Graph g = graph::buildHMult(graph::paramsArk(), 8);
+    const auto cfg = hw::configCrophe64();
+    const sched::Schedule cold = searched(g);
+    const sim::SimStats cold_sim = sim::simulateSchedule(cold, cfg);
+
+    PlanCache cache;
+    sched::SchedOptions opt = cropheOptions();
+    opt.planCache = &cache;
+    (void)sched::scheduleGraph(g, cfg, opt);
+    constexpr u64 kThreads = 8;
+    std::vector<sched::Schedule> hits(kThreads);
+    std::vector<sim::SimStats> sims(kThreads);
+    parallelFor(0, kThreads, [&](u64 i) {
+        hits[i] = sched::scheduleGraph(g, cfg, opt);
+        sims[i] = sim::simulateSchedule(hits[i], cfg);
+    });
+    EXPECT_EQ(cache.stats().hits, kThreads);
+    for (u64 i = 0; i < kThreads; ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(hits[i].groups.get(), hits[0].groups.get());
+        expectSamePlan(hits[i], cold);
+        expectSameSimStats(sims[i], cold_sim);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, PlanIdentity, testing::Values(1u, 8u),

@@ -86,7 +86,7 @@ TEST(Serialize, ScheduleRoundTripsByteIdentically)
     EXPECT_EQ(back.stats.cycles, s.stats.cycles);
     EXPECT_EQ(back.stats.dramWords, s.stats.dramWords);
     EXPECT_EQ(back.warmStats.cycles, s.warmStats.cycles);
-    EXPECT_EQ(back.groups.size(), s.groups.size());
+    EXPECT_EQ(back.groups->size(), s.groups->size());
     EXPECT_EQ(back.nttN1, s.nttN1);
     expectSameGraph(back.graph, s.graph);
 }
@@ -153,7 +153,9 @@ TEST(Serialize, RejectsNttFactorsNoSweepCouldTry)
     sched::Schedule back;
     // A group-less schedule decodes under any factor the sweep could
     // have tried, and its graph is the input rewritten with it.
-    const std::vector<u8> empty = scheduleBytes(sched::Schedule{});
+    sched::Schedule none;
+    none.groups = std::make_shared<const std::vector<sched::SpatialGroup>>();
+    const std::vector<u8> empty = scheduleBytes(none);
     for (u64 n1 : {0ull, 2ull, 256ull, 1ull << 63}) {
         ASSERT_TRUE(decodes(withNttFactor(empty, n1), g, back)) << n1;
         EXPECT_EQ(back.nttN1, n1);
@@ -175,10 +177,13 @@ decodesEdited(Edit edit)
     const graph::Graph g = graph::buildHMult(graph::paramsArk(), 4);
     sched::Schedule s =
         sched::scheduleGraph(g, hw::configCrophe64(), cropheOptions());
-    for (auto &sg : s.groups) {
+    std::vector<sched::SpatialGroup> groups = *s.groups;
+    for (auto &sg : groups) {
         if (sg.internalEdges.empty())
             continue;
         edit(sg, s.graph);
+        s.groups = std::make_shared<const std::vector<sched::SpatialGroup>>(
+            std::move(groups));
         sched::Schedule back;
         return decodes(scheduleBytes(s), g, back);
     }

@@ -20,8 +20,8 @@ TEST(DataflowReport, MentionsEveryGroupAndAuxKey)
 
     std::string report = dataflowReport(s, cfg);
     EXPECT_NE(report.find("CROPHE dataflow result"), std::string::npos);
-    ASSERT_FALSE(s.groups.empty());
-    for (std::size_t i = 0; i < s.groups.size(); ++i)
+    ASSERT_FALSE(s.groups->empty());
+    for (std::size_t i = 0; i < s.groups->size(); ++i)
         EXPECT_NE(report.find("spatial-group " + std::to_string(i) + ":"),
                   std::string::npos)
             << i;

@@ -42,7 +42,7 @@ TEST_P(ConfigSweep, ScheduleInvariants)
 
     // Every op of the (possibly rewritten) graph is scheduled once.
     u32 covered = 0;
-    for (const auto &grp : s.groups)
+    for (const auto &grp : *s.groups)
         covered += static_cast<u32>(grp.allocs.size());
     EXPECT_EQ(covered, s.graph.size());
 }

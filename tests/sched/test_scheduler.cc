@@ -59,12 +59,30 @@ TEST(Scheduler, CoversEveryOpExactlyOnce)
     Schedule s = scheduleGraph(g, hw::configCrophe64(), cropheOptions());
 
     u32 covered = 0;
-    for (const auto &sg : s.groups)
+    for (const auto &sg : *s.groups)
         covered += static_cast<u32>(sg.allocs.size());
     // NTT decomposition may rewrite the graph, so coverage is >= original.
     EXPECT_GE(covered, g.size());
     EXPECT_GT(s.stats.cycles, 0.0);
     EXPECT_GT(s.stats.flops, 0u);
+}
+
+TEST(Scheduler, AScheduleKeepsItsGraphWhenTheCallerEditsTheirs)
+{
+    Graph g = graph::buildHMult(graph::paramsArk(), 4);
+    SchedOptions opt = cropheOptions();
+    opt.nttDecomp = false;  // schedule the input graph itself
+    const Schedule s = scheduleGraph(g, hw::configCrophe64(), opt);
+    ASSERT_EQ(s.nttN1, 0u);
+    EXPECT_EQ(&s.graph.ops(), &g.ops());
+
+    const u32 ops = g.size();
+    const std::vector<graph::OpId> consumers = g.consumers(0);
+    g.connect(0, g.add(graph::makeOutput(g.op(0).n, g.op(0).limbsOut)));
+    EXPECT_NE(&s.graph.ops(), &g.ops());
+    EXPECT_EQ(s.graph.size(), ops);
+    EXPECT_EQ(s.graph.consumers(0), consumers);
+    EXPECT_EQ(g.size(), ops + 1);
 }
 
 TEST(Scheduler, CropheBeatsMadOnCropheHardware)

@@ -130,7 +130,8 @@ TEST(SimulatorDeath, RejectsAConsumerListedBeforeItsProducer)
     sched::SpatialGroup group;
     group.allocs = {{mul, 1, 4}, {in, 1, 4}};
     group.internalEdges.push_back({in, mul});
-    s.groups.push_back(group);
+    s.groups = std::make_shared<const std::vector<sched::SpatialGroup>>(
+        std::vector<sched::SpatialGroup>{group});
     EXPECT_DEATH(simulateSchedule(s, hw::configCrophe64()),
                  "is listed before its producer");
 }

@@ -40,35 +40,6 @@ shoupMulLazyS(u64 a, u64 w, u64 wShoup, u64 q)
     return a * w - mulHi64(a, wShoup) * q;
 }
 
-/** Low 64 bits of the 4 lane-wise 64x64 products. */
-inline __m256i
-mulLo64(__m256i x, __m256i y)
-{
-    __m256i lo = _mm256_mul_epu32(x, y);
-    __m256i h1 = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), y);
-    __m256i h2 = _mm256_mul_epu32(x, _mm256_srli_epi64(y, 32));
-    __m256i cross = _mm256_add_epi64(h1, h2);
-    return _mm256_add_epi64(lo, _mm256_slli_epi64(cross, 32));
-}
-
-/** High 64 bits of the 4 lane-wise 64x64 products. */
-inline __m256i
-mulHi64v(__m256i x, __m256i y)
-{
-    const __m256i mask32 = _mm256_set1_epi64x(0xffffffff);
-    __m256i x1 = _mm256_srli_epi64(x, 32);
-    __m256i y1 = _mm256_srli_epi64(y, 32);
-    __m256i lolo = _mm256_mul_epu32(x, y);
-    __m256i hilo = _mm256_mul_epu32(x1, y);
-    __m256i lohi = _mm256_mul_epu32(x, y1);
-    __m256i hihi = _mm256_mul_epu32(x1, y1);
-    __m256i mid = _mm256_add_epi64(hilo, _mm256_srli_epi64(lolo, 32));
-    __m256i mid2 = _mm256_add_epi64(lohi, _mm256_and_si256(mid, mask32));
-    return _mm256_add_epi64(
-        hihi, _mm256_add_epi64(_mm256_srli_epi64(mid, 32),
-                               _mm256_srli_epi64(mid2, 32)));
-}
-
 /**
  * Both halves of the 4 lane-wise 64x64 products from one set of four
  * vpmuludq partials — callers needing hi *and* lo (the BConv accumulate,
@@ -93,21 +64,6 @@ mulWide64(__m256i x, __m256i y, __m256i &hi, __m256i &lo)
                           _mm256_and_si256(lolo, mask32));
 }
 
-/** mask of lanes with x >= bound, both < 2^63 (signed compare is safe). */
-inline __m256i
-geSmall(__m256i x, __m256i boundMinus1)
-{
-    return _mm256_cmpgt_epi64(x, boundMinus1);
-}
-
-/** x - (x >= bound ? bound : 0) for values < 2^63. */
-inline __m256i
-condSub(__m256i x, __m256i bound, __m256i boundMinus1)
-{
-    return _mm256_sub_epi64(x,
-                            _mm256_and_si256(geSmall(x, boundMinus1), bound));
-}
-
 /** Full-width unsigned a < b as a lane mask (sign-flip trick). */
 inline __m256i
 ltU64(__m256i a, __m256i b)
@@ -116,14 +72,6 @@ ltU64(__m256i a, __m256i b)
         static_cast<long long>(0x8000000000000000ull));
     return _mm256_cmpgt_epi64(_mm256_xor_si256(b, flip),
                               _mm256_xor_si256(a, flip));
-}
-
-/** Shoup lazy product in [0,2q) per lane; any a, w < q. */
-inline __m256i
-shoupMulLazyV(__m256i a, __m256i w, __m256i ws, __m256i q)
-{
-    __m256i hi = mulHi64v(a, ws);
-    return _mm256_sub_epi64(mulLo64(a, w), mulLo64(hi, q));
 }
 
 struct BarrettV
@@ -146,7 +94,7 @@ broadcastBarrett(const BarrettView &b)
 inline __m256i
 barrettReduceV(__m256i xhi, __m256i xlo, const BarrettV &b)
 {
-    __m256i carry = mulHi64v(xlo, b.lo);
+    __m256i carry = simd256::mulHi64(xlo, b.lo);
     // mid = xlo*hi + xhi*lo + carry (128-bit); we need its high word.
     __m256i m1hi, m1lo, m2hi, m2lo;
     mulWide64(xlo, b.hi, m1hi, m1lo);
@@ -158,11 +106,11 @@ barrettReduceV(__m256i xhi, __m256i xlo, const BarrettV &b)
     __m256i midhi = _mm256_add_epi64(m1hi, m2hi);
     midhi = _mm256_sub_epi64(midhi, c1);  // -(-1) == +1
     midhi = _mm256_sub_epi64(midhi, c2);
-    __m256i quot = _mm256_add_epi64(midhi, mulLo64(xhi, b.hi));
-    __m256i r = _mm256_sub_epi64(xlo, mulLo64(quot, b.q));
+    __m256i quot = _mm256_add_epi64(midhi, simd256::mulLo64(xhi, b.hi));
+    __m256i r = _mm256_sub_epi64(xlo, simd256::mulLo64(quot, b.q));
     // quot underestimates by at most 2: r in [0,3q), 3q < 2^62.
-    r = condSub(r, b.q, b.qm1);
-    r = condSub(r, b.q, b.qm1);
+    r = simd256::condSub(r, b.q, b.qm1);
+    r = simd256::condSub(r, b.q, b.qm1);
     return r;
 }
 
@@ -270,7 +218,7 @@ addModAvx2(u64 *dst, const u64 *src, u64 n, u64 q)
             _mm256_loadu_si256(reinterpret_cast<__m256i *>(dst + i));
         __m256i b = _mm256_loadu_si256(
             reinterpret_cast<const __m256i *>(src + i));
-        __m256i s = condSub(_mm256_add_epi64(a, b), vq, vqm1);
+        __m256i s = simd256::condSub(_mm256_add_epi64(a, b), vq, vqm1);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), s);
     }
     for (; i < n; ++i) {
@@ -293,7 +241,7 @@ subModAvx2(u64 *dst, const u64 *src, u64 n, u64 q)
         // a - b + q, then canonicalize (result of a-b+q is in [1-?..): a<q,
         // b<q so a-b+q in (0, 2q) — one conditional subtract).
         __m256i s = _mm256_add_epi64(_mm256_sub_epi64(a, b), vq);
-        s = condSub(s, vq, vqm1);
+        s = simd256::condSub(s, vq, vqm1);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), s);
     }
     for (; i < n; ++i) {
@@ -361,8 +309,8 @@ mulScalarShoupAvx2(u64 *dst, u64 n, u64 q, u64 w, u64 wShoup)
     for (; i + 4 <= n; i += 4) {
         __m256i a =
             _mm256_loadu_si256(reinterpret_cast<__m256i *>(dst + i));
-        __m256i r = shoupMulLazyV(a, vw, vws, vq);
-        r = condSub(r, vq, vqm1);
+        __m256i r = simd256::shoupMulLazy(a, vw, vws, vq);
+        r = simd256::condSub(r, vq, vqm1);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i), r);
     }
     for (; i < n; ++i) {
@@ -432,8 +380,8 @@ bconvXhatAvx2(u64 *xhat, u64 xhatStride, double *vest, const u64 *in,
         for (; c + 4 <= cnt; c += 4) {
             __m256i x = _mm256_loadu_si256(
                 reinterpret_cast<const __m256i *>(row + c));
-            __m256i r = shoupMulLazyV(x, vw, vws, vq);
-            r = condSub(r, vq, vqm1);
+            __m256i r = simd256::shoupMulLazy(x, vw, vws, vq);
+            r = simd256::condSub(r, vq, vqm1);
             _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + c), r);
             __m256d d = u64ToPd(r);
             __m256d acc = _mm256_loadu_pd(vest + c);
@@ -487,10 +435,10 @@ bconvOutAvx2(u64 *out, const u64 *xhat, u64 xhatStride, u64 m, u64 cnt,
         // v = trunc(vest); v < m <= 255 so a 32-bit convert suffices.
         __m128i v32 = _mm256_cvttpd_epi32(_mm256_loadu_pd(vest + c));
         __m256i v = _mm256_cvtepi32_epi64(v32);
-        __m256i corr = shoupMulLazyV(v, vmmod, vmmods, b.q);
-        corr = condSub(corr, b.q, b.qm1);
+        __m256i corr = simd256::shoupMulLazy(v, vmmod, vmmods, b.q);
+        corr = simd256::condSub(corr, b.q, b.qm1);
         __m256i r = _mm256_add_epi64(_mm256_sub_epi64(sres, corr), b.q);
-        r = condSub(r, b.q, b.qm1);
+        r = simd256::condSub(r, b.q, b.qm1);
         _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + c), r);
     }
     for (; c < cnt; ++c) {

@@ -147,19 +147,26 @@ hashOpShape(u64 &h, const Op &op)
 }
 
 u64
-Graph::structuralHash(const std::vector<OpId> &nodes) const
+Graph::contentHash() const
 {
-    // Order-sensitive FNV-style hash over op shapes and the edge structure
-    // relabelled to positions within @p nodes.
-    PositionIndex index(static_cast<u32>(nodes.size()),
-                        [&](u32 i) { return nodes[i]; });
-
     u64 h = kHashSeed;
-    for (OpId id : nodes) {
-        hashOpShape(h, op(id));
-        for (OpId c : consumers(id)) {
-            u32 pos = index.find(c);
-            hashMix(h, pos == PositionIndex::kNotFound ? ~0ull : pos);
+    hashMix(h, size());
+    for (OpId id = 0; id < size(); ++id) {
+        const Op &o = op(id);
+        hashOpShape(h, o);
+        hashMix(h, std::hash<std::string>{}(o.label));
+        hashMix(h, o.n2);
+        hashMix(h, o.inputWords);
+        hashMix(h, o.outputWords);
+        hashMix(h, o.flops);
+        hashMix(h, o.streamAxes.size());
+        for (StreamAxis a : o.streamAxes)
+            hashMix(h, static_cast<u64>(a));
+        hashMix(h, o.orientationSwitch ? 1 : 0);
+        for (const auto *ids : {&consumers(id), &producers(id)}) {
+            hashMix(h, ids->size());
+            for (OpId v : *ids)
+                hashMix(h, v);
         }
     }
     return h;

@@ -4,8 +4,9 @@
 /**
  * @file
  * The operator DAG, with the utilities the scheduler needs: topological
- * orders and structural hashing for merging redundant subgraphs
- * (Section V-D).
+ * orders, the op-shape digest its group memo keys are built from (merging
+ * redundant subgraphs, Section V-D), and the exact-graph hash that keys
+ * the plan cache.
  */
 
 #include <algorithm>
@@ -21,8 +22,8 @@
 namespace crophe::graph {
 
 /**
- * Mix the shape fields a structural hash covers into @p h: kind, loop
- * shape, limb counts, digit count, aux volume and aux identity.
+ * Mix an op's shape fields into @p h: kind, loop shape, limb counts,
+ * digit count, aux volume and aux identity.
  */
 void hashOpShape(u64 &h, const Op &op);
 
@@ -135,12 +136,12 @@ class Graph
     u64 totalAuxWords() const;
 
     /**
-     * Structural hash of the subgraph induced by @p nodes: equal hashes ⇒
-     * the subgraphs are (with overwhelming probability) isomorphic with
-     * identical op shapes, letting the scheduler search each unique
-     * subgraph once.
+     * Hash of the exact graph: every op in id order (its shape and every
+     * other Op field) with both adjacency lists in insertion order. Equal
+     * hashes ⇒ (with overwhelming probability) the same ops under the same
+     * ids; it keys the plan cache and the serving catalog's batching.
      */
-    u64 structuralHash(const std::vector<OpId> &nodes) const;
+    u64 contentHash() const;
 
     /**
      * Induced subgraph over @p nodes (kept in the given order) with the

@@ -31,31 +31,6 @@ digitLimbCount(const FheParams &p, u32 j, u32 level)
 }
 
 /**
- * ModDown of one output half: iNTT(α) → BConv(α→ℓ+1) → NTT(ℓ+1) →
- * EwAdd(ℓ+1) with the top part → EwMulConst(ℓ+1) for the 1/P scaling.
- * Returns the final node.
- */
-OpId
-buildModDown(Graph &g, const FheParams &p, u32 level, OpId source)
-{
-    const u64 n = p.n();
-    const u32 lq = p.limbsAt(level);
-
-    OpId intt = g.add(makeNtt(OpKind::INtt, n, p.alpha));
-    g.connect(source, intt);
-    OpId bconv = g.add(makeBConv(n, p.alpha, lq));
-    g.connect(intt, bconv);
-    OpId ntt = g.add(makeNtt(OpKind::Ntt, n, lq));
-    g.connect(bconv, ntt);
-    OpId sub = g.add(makeEwBinary(OpKind::EwAdd, n, lq));
-    g.connect(source, sub);  // the q-limb top part
-    g.connect(ntt, sub);
-    OpId scale = g.add(makeEwMulConst(n, lq));
-    g.connect(sub, scale);
-    return scale;
-}
-
-/**
  * Output-stationary pair ModDown: the (b, a) accumulator halves leave the
  * KSKInP together, so the p-limb iNTT and the q-limb NTT each run once as
  * a 2×-batched walk (one twiddle stream for the resident pair) instead of
@@ -85,6 +60,26 @@ buildModDownPair(Graph &g, const FheParams &p, u32 level, OpId source)
 }
 
 }  // namespace
+
+OpId
+buildModDown(Graph &g, const FheParams &p, u32 level, OpId source)
+{
+    const u64 n = p.n();
+    const u32 lq = p.limbsAt(level);
+
+    OpId intt = g.add(makeNtt(OpKind::INtt, n, p.alpha));
+    g.connect(source, intt);
+    OpId bconv = g.add(makeBConv(n, p.alpha, lq));
+    g.connect(intt, bconv);
+    OpId ntt = g.add(makeNtt(OpKind::Ntt, n, lq));
+    g.connect(bconv, ntt);
+    OpId sub = g.add(makeEwBinary(OpKind::EwAdd, n, lq));
+    g.connect(source, sub);  // the q-limb top part
+    g.connect(ntt, sub);
+    OpId scale = g.add(makeEwMulConst(n, lq));
+    g.connect(sub, scale);
+    return scale;
+}
 
 KeySwitchNodes
 buildKeySwitch(Graph &g, const FheParams &params, u32 level, OpId producer,

@@ -59,6 +59,15 @@ KeySwitchNodes buildKeySwitch(Graph &g, const FheParams &params, u32 level,
                               OpId producer, const std::string &evk_key,
                               KsDataflow df = KsDataflow::Fused);
 
+/**
+ * Append the ModDown of one output half after @p source (a value in the
+ * extended basis): iNTT(α) → BConv(α→ℓ+1) → NTT(ℓ+1) → EwAdd(ℓ+1) with
+ * the top part → EwMulConst(ℓ+1) for the 1/P scaling. Returns the final
+ * node. A key switch runs one per output half; a hoisting group shares
+ * one.
+ */
+OpId buildModDown(Graph &g, const FheParams &params, u32 level, OpId source);
+
 /** Count of ops a key switch expands to (used by workload sizing tests). */
 u32 keySwitchOpCount(const FheParams &params, u32 level);
 

@@ -114,26 +114,6 @@ appendHoistedRot(Graph &g, const FheParams &p, u32 level, OpId modup,
     return inner;
 }
 
-/** Shared ModDown closing a hoisting group (both halves + combine). */
-OpId
-appendModDown(Graph &g, const FheParams &p, u32 level, OpId source)
-{
-    const u64 n = p.n();
-    const u32 lq = p.limbsAt(level);
-    OpId intt = g.add(makeNtt(OpKind::INtt, n, p.alpha));
-    g.connect(source, intt);
-    OpId bconv = g.add(makeBConv(n, p.alpha, lq));
-    g.connect(intt, bconv);
-    OpId ntt = g.add(makeNtt(OpKind::Ntt, n, lq));
-    g.connect(bconv, ntt);
-    OpId sub = g.add(makeEwBinary(OpKind::EwAdd, n, lq));
-    g.connect(source, sub);
-    g.connect(ntt, sub);
-    OpId scale = g.add(makeEwMulConst(n, lq));
-    g.connect(sub, scale);
-    return scale;
-}
-
 /**
  * Produce the n1 baby-step handles per the rotation strategy. The entry
  * for i = 0 is the (unrotated) source.
@@ -165,7 +145,7 @@ appendBabySteps(Graph &g, const FheParams &p, u32 level, OpId source,
             OpId inner = appendHoistedRot(g, p, level, modup,
                                           "evk:rot:hoist:" +
                                               std::to_string(i));
-            handles[i] = appendModDown(g, p, level, inner);
+            handles[i] = buildModDown(g, p, level, inner);
         }
         break;
       }
@@ -201,7 +181,7 @@ appendBabySteps(Graph &g, const FheParams &p, u32 level, OpId source,
                                             std::to_string(f)));
             }
             for (auto [c, inner] : inners)
-                handles[c + f] = appendModDown(g, p, level, inner);
+                handles[c + f] = buildModDown(g, p, level, inner);
         }
         break;
       }
@@ -353,7 +333,7 @@ buildPtMatVecMult(const FheParams &p, u32 level, u32 n1, u32 n2,
         }
     }
     if (ext_acc != kNoOp) {
-        OpId md = appendModDown(g, p, level, ext_acc);
+        OpId md = buildModDown(g, p, level, ext_acc);
         OpId add = g.add(makeEwBinary(OpKind::EwAdd, n, lq));
         g.connect(acc_out, add);
         g.connect(md, add);

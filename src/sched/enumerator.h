@@ -76,12 +76,7 @@ class GroupEnumerator
     GroupEnumerator(const graph::Graph &g, hw::HwConfig cfg, bool mad,
                     u32 max_ops, GroupMemo &memo);
 
-    const graph::Graph &graph() const { return *g_; }
-    const hw::HwConfig &config() const { return cfg_; }
-    bool mad() const { return mad_; }
     const std::vector<graph::OpId> &topo() const { return topo_; }
-    /** Topo position of every op id (the inverse of topo()). */
-    const std::vector<u32> &positions() const { return pos_; }
     u32 maxOps() const { return maxOps_; }
 
     /**

@@ -32,14 +32,9 @@ optionsDigest(const SchedOptions &opt)
     hashMix(h, opt.crossOpDataflow ? 1 : 0);
     hashMix(h, opt.nttDecomp ? 1 : 0);
     hashMix(h, opt.maxGroupOps);
-    hashMix(h, opt.clusters);
-    // pruneSearch provably does not change the chosen schedule (the bound
-    // is admissible, DESIGN.md §8), but it stays in the key as insurance:
-    // a future inexact bound must never validate against exact-search
-    // cache entries.
-    hashMix(h, opt.pruneSearch ? 1 : 0);
-    hashMix(h, opt.rotSchemeMask);
-    hashMix(h, opt.ksDataflowMask);
+    // clusters and the two masks are read only above scheduleGraph, by
+    // the callers that build and slice what it searches (their effect
+    // reaches the key through the graph hash and config digest).
     // deadlineSeconds is deliberately NOT mixed: a deadline can only
     // produce degraded schedules, which are never inserted into the plan
     // cache, so every cached entry is the exact result for this digest.

@@ -40,27 +40,27 @@ struct SchedOptions
     bool nttDecomp = true;
     /** Max ops per spatial group (the paper uses 7-10). */
     u32 maxGroupOps = 10;
-    /** Data-parallel clusters (CROPHE-p); 1 = whole-chip scheduling. */
-    u32 clusters = 1;
     /**
-     * Branch-and-bound pruning of the DP cover search (DESIGN.md §8). The
-     * bound is admissible, so the chosen schedule is bit-identical to the
-     * exhaustive search; false forces the exhaustive sweep (tests).
+     * Data-parallel clusters (CROPHE-p); 1 = whole-chip scheduling. Read
+     * by scheduleWorkload/simulateWorkload, which slice the config per
+     * cluster; not part of optionsDigest(), since the sliced config's
+     * configDigest already keys what it changes.
      */
-    bool pruneSearch = true;
+    u32 clusters = 1;
     /**
      * Bitmask of graph::RotMode values the rotation-scheme search may
      * enumerate (bit = 1 << static_cast<u32>(mode)); default all four
      * (MinKs | Hoisting | Hybrid | TripleHoisted). Only consulted by
-     * chooseRotationScheme, but part of optionsDigest() since it shapes
-     * which candidate won a cached search.
+     * chooseRotationScheme, which builds one graph per scheme, so it is
+     * not part of optionsDigest(): each scheme's graph searches the same
+     * under any mask.
      */
     u32 rotSchemeMask = 0xF;
     /**
      * Bitmask of graph::KsDataflow values the search may enumerate
      * (bit = 1 << static_cast<u32>(df)); default all three
-     * (Fused | OutputStationary | ReorderedModUp). Same digest rationale
-     * as rotSchemeMask.
+     * (Fused | OutputStationary | ReorderedModUp). Like rotSchemeMask,
+     * read only by chooseRotationScheme and not part of optionsDigest().
      */
     u32 ksDataflowMask = 0x7;
     /** Optional search observer: candidate costs and enumerator memo
@@ -92,9 +92,9 @@ struct SchedOptions
 };
 
 /**
- * Order-sensitive digest over the value fields of @p opt (the observer
- * and cache pointers are excluded — they do not affect the schedule).
- * Keys the plan cache together with the graph hash and config digest.
+ * Order-sensitive digest over the fields of @p opt that scheduleGraph's
+ * search reads: crossOpDataflow, nttDecomp and maxGroupOps. Keys the plan
+ * cache together with the graph hash and config digest.
  */
 u64 optionsDigest(const SchedOptions &opt);
 

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <set>
 
-#include "common/hash.h"
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/parallel.h"
@@ -63,161 +61,29 @@ class DeadlineClock
     mutable std::atomic<bool> expired_{false};
 };
 
-/**
- * Incremental admissible lower bound on a topo window's group cycles
- * (DESIGN.md §8). Never calls analyzeSpatialGroup: the bound is assembled
- * from running sums as the window grows one op at a time, mirroring the
- * analysis's DRAM charges exactly and UNDER-counting its SRAM and compute
- * terms — so lb() <= the analyzed group's cycles for every feasible
- * window, which is what makes branch-and-bound pruning exact.
- */
-class WindowBound
-{
-  public:
-    explicit WindowBound(const GroupEnumerator &e)
-        : g_(&e.graph()), cfg_(&e.config()), mad_(e.mad()), topo_(&e.topo()),
-          pos_(&e.positions())
-    {
-        const hw::HwConfig &cfg = e.config();
-        // Admissible compute capacity: homogeneous chips retire at most
-        // multsPerCycle; specialized chips at most the sum of their FU
-        // class capacities (the per-class max in analyzeSpatialGroup is
-        // >= flops / sum by the mediant inequality).
-        double frac = 0.0;
-        for (double f : cfg.fuFraction)
-            frac += f;
-        effMults_ = static_cast<double>(cfg.multsPerCycle()) *
-                    (cfg.homogeneous ? 1.0 : frac);
-        if (effMults_ < 1.0)
-            effMults_ = 1.0;
-    }
-
-    /** Restart at window [begin, begin). */
-    void reset(u32 begin)
-    {
-        begin_ = begin;
-        len_ = 0;
-        flops_ = 0;
-        ioDram_ = 0;
-        auxDram_ = 0;
-        sram_ = 0;
-        extCnt_.clear();
-        seenAux_.clear();
-    }
-
-    /** Grow the window by the next topo op. */
-    void extend()
-    {
-        OpId w = (*topo_)[begin_ + len_];
-        ++len_;
-        const graph::Op &op = g_->op(w);
-        flops_ += op.flops;
-        if (op.kind == graph::OpKind::Input) {
-            ioDram_ += op.outputWords;
-            return;
-        }
-        if (op.kind == graph::OpKind::Output) {
-            ioDram_ += op.inputWords;
-            // An in-window Output still internalizes its producers'
-            // consumer-side handoffs; it adds no charges of its own.
-            for (OpId p : g_->producers(w))
-                if (inWindow(p))
-                    internalize(p);
-            return;
-        }
-        if (op.auxWords > 0) {
-            // Exactly the analysis's DRAM charge: keyless and MAD aux per
-            // op, keyed aux once per distinct key in the window.
-            if (op.auxKey.empty() || mad_)
-                auxDram_ += op.auxWords;
-            else if (seenAux_.insert(op.auxKey).second)
-                auxDram_ += op.auxWords;
-        }
-        for (OpId p : g_->producers(w)) {
-            if (inWindow(p))
-                internalize(p);
-            else if (g_->op(p).kind != graph::OpKind::Input)
-                sram_ += g_->op(p).outputWords;
-        }
-        // Consumer side: all consumers are later in topo order, hence
-        // external until the window grows over them.
-        sram_ += op.outputWords;
-        if (!g_->consumers(w).empty())
-            extCnt_.emplace_back(w, static_cast<u32>(
-                                        g_->consumers(w).size()));
-    }
-
-    double lb() const
-    {
-        double compute = static_cast<double>(flops_) / effMults_;
-        double dram = dramCycles(*cfg_, ioDram_ + auxDram_);
-        double sram = sramCycles(*cfg_, sram_);
-        return std::max({compute, dram, sram});
-    }
-
-  private:
-    bool inWindow(OpId id) const { return (*pos_)[id] - begin_ < len_; }
-
-    void internalize(OpId p)
-    {
-        for (auto &e : extCnt_) {
-            if (e.first != p)
-                continue;
-            if (--e.second == 0)
-                sram_ -= g_->op(p).outputWords;
-            return;
-        }
-    }
-
-    const Graph *g_;
-    const hw::HwConfig *cfg_;
-    bool mad_;
-    const std::vector<OpId> *topo_;
-    const std::vector<u32> *pos_;  ///< op id -> topo position
-    double effMults_;
-
-    u32 begin_ = 0;
-    u32 len_ = 0;
-    u64 flops_ = 0;
-    u64 ioDram_ = 0;
-    u64 auxDram_ = 0;
-    u64 sram_ = 0;
-    /** In-window ops with external consumers left: (op, remaining). */
-    std::vector<std::pair<OpId, u32>> extCnt_;
-    std::set<std::string> seenAux_;
-};
-
 /** A cover of the topo order as (begin, len) windows. */
 using Cover = std::vector<std::pair<u32, u32>>;
 
-/** A cover with its cost. */
-struct GreedyCover
-{
-    Cover windows;
-    double cycles = 0.0;
-};
-
 /**
- * Greedy cover used to seed branch-and-bound: at each position take the
- * feasible window with the lowest cycles-per-op. Its cost is a valid
- * incumbent (it is a real schedule), its windows prime the enumerator's
- * memo for the DP that follows — and under a deadline it IS the anytime
- * fallback schedule. If @p deadline expires mid-greedy, the remaining
- * positions take single-op windows (always feasible), so even the
- * fallback construction is bounded.
+ * Greedy cover, the anytime fallback schedule (DESIGN.md §9): at each
+ * position take the feasible window with the lowest cycles-per-op. It is
+ * built before the DP whenever a deadline is armed, so an expired budget
+ * always has a complete, valid schedule to return; its windows also prime
+ * the enumerator's memo for the DP that follows. If @p deadline expires
+ * mid-greedy, the remaining positions take single-op windows (always
+ * feasible), so even the fallback construction is bounded.
  */
-GreedyCover
-greedyCover(GroupEnumerator &enumerator, const DeadlineClock *deadline)
+Cover
+greedyCover(GroupEnumerator &enumerator, const DeadlineClock &deadline)
 {
     const u32 n = static_cast<u32>(enumerator.topo().size());
-    GreedyCover cover;
+    Cover cover;
     u32 i = 0;
     while (i < n) {
         double best_ratio = std::numeric_limits<double>::infinity();
-        double best_cycles = 0.0;
         u32 best_len = 0;
         u32 max_len = enumerator.maxOps();
-        if (deadline != nullptr && deadline->expired())
+        if (deadline.expired())
             max_len = 1;  // budget gone: cheapest valid progress
         for (u32 len = 1; len <= max_len && i + len <= n; ++len) {
             const SpatialGroup *cand = enumerator.window(i, len);
@@ -226,14 +92,12 @@ greedyCover(GroupEnumerator &enumerator, const DeadlineClock *deadline)
             double ratio = cand->cycles / len;
             if (ratio < best_ratio) {
                 best_ratio = ratio;
-                best_cycles = cand->cycles;
                 best_len = len;
             }
         }
         CROPHE_ASSERT(best_len > 0,
                       "no feasible group at op ", enumerator.topo()[i]);
-        cover.windows.emplace_back(i, best_len);
-        cover.cycles += best_cycles;
+        cover.emplace_back(i, best_len);
         i += best_len;
     }
     return cover;
@@ -254,83 +118,28 @@ materializeCover(GroupEnumerator &enumerator, const Cover &cover)
  * Cover the topological order with spatial groups by dynamic programming:
  * dp[i] = cheapest cost of scheduling the first i ops.
  *
- * With @p prune set, windows whose admissible lower bound (plus the lower
- * bound of completing the cover) already exceeds the greedy incumbent are
- * skipped without analysis. The chosen cover is bit-identical to the
- * exhaustive sweep: every relaxation that achieves a dp value on the
- * reconstructed (optimal) path satisfies dp[i] + lb <= OPT <= incumbent
- * and therefore survives, and first-wins tie-breaking is preserved
- * because pruned relaxations were strictly above the final dp value
- * (DESIGN.md §8 for the full argument).
- *
- * With @p deadline set and active, the search is anytime: once the
- * budget expires the greedy cover (already a complete, valid schedule)
- * is returned instead of finishing the DP, and @p degraded is set.
+ * With @p deadline set, the search is anytime: once the budget expires
+ * the greedy cover (already a complete, valid schedule) is returned
+ * instead of finishing the DP, and @p degraded is set.
  */
 std::vector<SpatialGroup>
-coverByDp(GroupEnumerator &enumerator, bool prune, u64 &pruned_windows,
-          const DeadlineClock *deadline, bool &degraded)
+coverByDp(GroupEnumerator &enumerator, const DeadlineClock *deadline,
+          bool &degraded)
 {
     const u32 n = static_cast<u32>(enumerator.topo().size());
+    const Cover greedy =
+        deadline != nullptr ? greedyCover(enumerator, *deadline) : Cover{};
     constexpr double kInf = std::numeric_limits<double>::infinity();
     std::vector<double> dp(n + 1, kInf);
     std::vector<u32> choice(n + 1, 0);
     dp[0] = 0.0;
-
-    bool timed = deadline != nullptr && deadline->active();
-    GreedyCover greedy;
-    bool have_greedy = false;
-    if ((prune || timed) && n > 0) {
-        greedy = greedyCover(enumerator, deadline);
-        have_greedy = true;
-    }
-    auto fall_back = [&]() {
-        degraded = true;
-        return materializeCover(enumerator, greedy.windows);
-    };
-    if (timed && have_greedy && deadline->expired())
-        return fall_back();
-
-    WindowBound wb(enumerator);
-    double bound = kInf;
-    std::vector<double> lb_suffix;
-    if (prune && n > 0) {
-        // The epsilon absorbs float rounding in the bound sums: pruning
-        // must only ever discard windows that are strictly worse in exact
-        // arithmetic.
-        bound = greedy.cycles * (1.0 + 1e-9);
-        // lbSuffix[j]: admissible lower bound on covering ops [j, n).
-        lb_suffix.assign(n + 1, 0.0);
-        for (u32 j = n; j-- > 0;) {
-            wb.reset(j);
-            double best = kInf;
-            for (u32 len = 1; len <= enumerator.maxOps() && j + len <= n;
-                 ++len) {
-                wb.extend();
-                best = std::min(best, wb.lb() + lb_suffix[j + len]);
-            }
-            lb_suffix[j] = best;
-        }
-        if (timed && deadline->expired())
-            return fall_back();
-    }
-
     for (u32 i = 0; i < n; ++i) {
-        if (dp[i] == kInf)
-            continue;
-        if (timed && deadline->expired())
-            return fall_back();
-        if (prune)
-            wb.reset(i);
+        if (deadline != nullptr && deadline->expired()) {
+            degraded = true;
+            return materializeCover(enumerator, greedy);
+        }
         for (u32 len = 1; len <= enumerator.maxOps() && i + len <= n;
              ++len) {
-            if (prune) {
-                wb.extend();
-                if (dp[i] + wb.lb() + lb_suffix[i + len] > bound) {
-                    ++pruned_windows;
-                    continue;
-                }
-            }
             const SpatialGroup *cand = enumerator.window(i, len);
             if (!cand)
                 continue;
@@ -341,14 +150,9 @@ coverByDp(GroupEnumerator &enumerator, bool prune, u64 &pruned_windows,
             }
         }
         // Guarantee progress: single-op windows must always be feasible.
-        // Under pruning a prefix may legitimately stay unreached (every
-        // path through it is provably worse than the incumbent); the
-        // greedy cover's own windows always survive, so dp[n] is bounded.
-        if (!prune)
-            CROPHE_ASSERT(dp[i + 1] < kInf,
-                          "no feasible group at op ", enumerator.topo()[i]);
+        CROPHE_ASSERT(dp[i + 1] < kInf,
+                      "no feasible group at op ", enumerator.topo()[i]);
     }
-    CROPHE_ASSERT(n == 0 || dp[n] < kInf, "search pruned away every cover");
 
     // Reconstruct the chosen segmentation.
     Cover cover;
@@ -580,15 +384,11 @@ scheduleOneGraph(const Graph &g, const hw::HwConfig &cfg,
                                /*mad=*/!opt.crossOpDataflow,
                                opt.crossOpDataflow ? opt.maxGroupOps : 3,
                                *opt.memo);
-    u64 pruned = 0;
     bool degraded = false;
-    auto groups = coverByDp(enumerator, opt.pruneSearch, pruned, deadline,
-                            degraded);
-    if (opt.search != nullptr) {
+    auto groups = coverByDp(enumerator, deadline, degraded);
+    if (opt.search != nullptr)
         opt.search->addEnumeration(enumerator.analyzedCount(),
                                    enumerator.memoHits());
-        opt.search->addPruning(pruned);
-    }
     double peak_live =
         applyBufferSpill(g, groups, cfg, opt.crossOpDataflow);
 
@@ -675,36 +475,15 @@ scheduleGraphSearch(const Graph &g, const hw::HwConfig &cfg,
 
 /**
  * Plan-cache key for scheduling @p g on @p cfg with @p opt. The graph
- * component hashes the exact graph: every op in id order (its shape and
- * every other Op field) with both adjacency lists in insertion order. A
- * hit's schedule therefore names the caller's own op ids, and the reader
- * can rebuild its graph from the caller's.
+ * component is the exact graph's content hash, so a hit's schedule names
+ * the caller's own op ids, and the reader can rebuild its graph from the
+ * caller's.
  */
 plan::PlanKey
 planKeyFor(const Graph &g, const hw::HwConfig &cfg, const SchedOptions &opt)
 {
-    u64 h = kHashSeed;
-    hashMix(h, g.size());
-    for (OpId id = 0; id < g.size(); ++id) {
-        const graph::Op &op = g.op(id);
-        graph::hashOpShape(h, op);
-        hashMix(h, std::hash<std::string>{}(op.label));
-        hashMix(h, op.n2);
-        hashMix(h, op.inputWords);
-        hashMix(h, op.outputWords);
-        hashMix(h, op.flops);
-        hashMix(h, op.streamAxes.size());
-        for (graph::StreamAxis a : op.streamAxes)
-            hashMix(h, static_cast<u64>(a));
-        hashMix(h, op.orientationSwitch ? 1 : 0);
-        for (const auto *ids : {&g.consumers(id), &g.producers(id)}) {
-            hashMix(h, ids->size());
-            for (OpId v : *ids)
-                hashMix(h, v);
-        }
-    }
     plan::PlanKey key;
-    key.graphHash = h;
+    key.graphHash = g.contentHash();
     key.hwDigest = hw::configDigest(cfg);
     key.optDigest = optionsDigest(opt);
     return key;

@@ -69,7 +69,7 @@ buildCatalog(const graph::FheParams &p,
         t.workload = buildTemplateWorkload(name, p, wopt);
         u64 h = 0x53525645u;  // 'SRVE'
         for (const auto &seg : t.workload.segments) {
-            h = mix64(h, seg.graph.structuralHash(seg.graph.topoOrder()));
+            h = mix64(h, seg.graph.contentHash());
             h = mix64(h, seg.repetitions);
             t.ops += seg.graph.size();
         }

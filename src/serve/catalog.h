@@ -14,12 +14,12 @@
  *   hmult / hrot / matvec — cheap single-graph primitives (used by the
  *       "micro" mix so tests and CI smoke runs stay fast).
  *
- * The batching key of a template is its content hash: the structural
- * hashes of all its segments (same idea as the scheduler's redundant-
- * subgraph merging). Two requests are batchable iff their templates hash
- * equal AND they target the same hardware (hw::configDigest) — the
- * dispatcher only ever runs one config, so the catalog hash alone keys
- * batches at dispatch time.
+ * The batching key of a template is its content hash: the
+ * graph::Graph::contentHash of each of its segments (the plan cache's
+ * graph key) and their repetition counts. Two requests are batchable iff
+ * their templates hash equal AND they target the same hardware
+ * (hw::configDigest) — the dispatcher only ever runs one config, so the
+ * catalog hash alone keys batches at dispatch time.
  */
 
 #include <string>

@@ -32,13 +32,6 @@ SearchTelemetry::addEnumeration(u64 analyzed, u64 memo_hits)
 }
 
 void
-SearchTelemetry::addPruning(u64 windows)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    prunedWindows_ += windows;
-}
-
-void
 SearchTelemetry::addPlanLookup(bool hit)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -60,13 +53,6 @@ SearchTelemetry::addDesignSeconds(double seconds)
 {
     std::lock_guard<std::mutex> lock(mu_);
     designSeconds_ += seconds;
-}
-
-u64
-SearchTelemetry::prunedWindows() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return prunedWindows_;
 }
 
 u64
@@ -164,9 +150,6 @@ SearchTelemetry::registerStats(StatsRegistry &reg,
         prefix + ".enum.memoHits",
         "group analyses served from the structural-hash memo");
     hits.set(memoHits());
-    reg.counter(prefix + ".search.prunedWindows",
-                "DP cover windows skipped by branch-and-bound")
-        .set(prunedWindows());
     reg.counter(prefix + ".plan.hits",
                 "schedule searches served from the plan cache")
         .set(planHits());

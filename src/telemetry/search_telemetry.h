@@ -55,9 +55,6 @@ class SearchTelemetry
     /** Fold in one GroupEnumerator's counters after a search. */
     void addEnumeration(u64 analyzed, u64 memo_hits);
 
-    /** Fold in one DP cover's branch-and-bound pruned-window count. */
-    void addPruning(u64 windows);
-
     /** Record one plan-cache lookup at scheduleGraph level. */
     void addPlanLookup(bool hit);
 
@@ -74,7 +71,11 @@ class SearchTelemetry
     u64 candidates() const;
     u64 analyzed() const;
     u64 memoHits() const;
-    u64 prunedWindows() const;
+    /**
+     * Always 0: the cover search prunes nothing since its branch-and-bound
+     * was removed. Kept only for perfbench's sched.pruned_windows metric.
+     */
+    u64 prunedWindows() const { return 0; }
     u64 planHits() const;
     u64 planMisses() const;
     u64 deadlineHits() const;
@@ -96,7 +97,6 @@ class SearchTelemetry
     std::vector<SearchChoice> choices_;  ///< raw order
     u64 analyzed_ = 0;
     u64 memoHits_ = 0;
-    u64 prunedWindows_ = 0;
     u64 planHits_ = 0;
     u64 planMisses_ = 0;
     u64 deadlineHits_ = 0;

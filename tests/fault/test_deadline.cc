@@ -167,5 +167,28 @@ TEST(AnytimeDeadline, DeadlineIsExcludedFromTheOptionsDigest)
     EXPECT_EQ(optionsDigest(a), optionsDigest(b));
 }
 
+TEST(OptionsDigest, CoversExactlyWhatTheGraphSearchReads)
+{
+    // clusters and the two masks act above scheduleGraph (they slice the
+    // config and choose which graphs get built), so a restricted search
+    // reads the plans an unrestricted one wrote. Every field the search
+    // reads must move the digest.
+    const u64 base = optionsDigest(SchedOptions{});
+    auto digestWith = [](auto set) {
+        SchedOptions o;
+        set(o);
+        return optionsDigest(o);
+    };
+    EXPECT_EQ(digestWith([](SchedOptions &o) { o.clusters = 4; }), base);
+    EXPECT_EQ(digestWith([](SchedOptions &o) { o.rotSchemeMask = 0x4; }),
+              base);
+    EXPECT_EQ(digestWith([](SchedOptions &o) { o.ksDataflowMask = 0x1; }),
+              base);
+    EXPECT_NE(digestWith([](SchedOptions &o) { o.crossOpDataflow = false; }),
+              base);
+    EXPECT_NE(digestWith([](SchedOptions &o) { o.nttDecomp = false; }), base);
+    EXPECT_NE(digestWith([](SchedOptions &o) { o.maxGroupOps = 7; }), base);
+}
+
 }  // namespace
 }  // namespace crophe::sched

@@ -67,37 +67,24 @@ TEST(Graph, AuxDeduplicatedByKey)
     EXPECT_EQ(g.totalAuxWords(), 2ull * (1 << 10));
 }
 
-TEST(Graph, StructuralHashMatchesIsomorphicSubgraphs)
+TEST(Graph, ContentHashValuesArePinned)
 {
-    // Two copies of the same chain inside one graph hash identically.
-    Graph g;
-    OpId a1 = g.add(makeEwBinary(OpKind::EwMul, 1 << 10, 4));
-    OpId a2 = g.add(makeEwBinary(OpKind::EwAdd, 1 << 10, 4));
-    g.connect(a1, a2);
-    OpId b1 = g.add(makeEwBinary(OpKind::EwMul, 1 << 10, 4));
-    OpId b2 = g.add(makeEwBinary(OpKind::EwAdd, 1 << 10, 4));
-    g.connect(b1, b2);
-
-    EXPECT_EQ(g.structuralHash({a1, a2}), g.structuralHash({b1, b2}));
-    EXPECT_NE(g.structuralHash({a1, a2}), g.structuralHash({a2, a1}));
-    // Different shape => different hash.
-    Graph g2;
-    OpId c1 = g2.add(makeEwBinary(OpKind::EwMul, 1 << 10, 8));
-    OpId c2 = g2.add(makeEwBinary(OpKind::EwAdd, 1 << 10, 8));
-    g2.connect(c1, c2);
-    EXPECT_NE(g.structuralHash({a1, a2}), g2.structuralHash({c1, c2}));
-}
-
-TEST(Graph, StructuralHashValuesArePinned)
-{
-    // The serving catalog's template hashes are built on this hash, so
-    // its values must not drift: a changed value moves every template hash.
+    // Plan-cache keys and the serving catalog's template hashes are built
+    // on this hash, so its values must not drift: a changed value renames
+    // every on-disk plan and moves every template hash.
     Graph g = diamond();
-    EXPECT_EQ(g.structuralHash({0, 1, 2, 3}), 0xeffd685ae94c8da0ull);
-    // A partial window: consumers outside it hash as a sentinel.
-    EXPECT_EQ(g.structuralHash({0, 2}), 0xbdbb666ad6bff623ull);
-    EXPECT_EQ(g.structuralHash({3, 2, 1, 0}), 0x0d259623850e997cull);
-    EXPECT_EQ(g.structuralHash({}), 0x14650fb0739d0383ull);
+    EXPECT_EQ(g.contentHash(), 0xa40e7ec0514267deull);
+    EXPECT_EQ(Graph{}.contentHash(), 0x023c0b4f6729d5c2ull);
+    // Adjacency order is part of the content: the same edges connected
+    // in another order hash differently.
+    Graph h;
+    for (OpId id = 0; id < g.size(); ++id)
+        h.add(g.op(id));
+    h.connect(0, 2);
+    h.connect(0, 1);
+    h.connect(1, 3);
+    h.connect(2, 3);
+    EXPECT_NE(h.contentHash(), g.contentHash());
 }
 
 TEST(Graph, ConnectKeepsListOrder)

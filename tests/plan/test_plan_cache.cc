@@ -494,34 +494,6 @@ TEST_P(PlanIdentity, CacheHitMatchesColdSearchByteForByte)
     }
 }
 
-TEST_P(PlanIdentity, PrunedSearchMatchesFullSearchByteForByte)
-{
-    ThreadPool::setGlobalThreads(GetParam());
-    auto cfg = hw::configCrophe64();
-    for (const char *name : {"bootstrap", "resnet20"}) {
-        WorkloadOptions wopt;
-        wopt.rotMode = RotMode::MinKs;
-        graph::Workload w =
-            graph::buildWorkload(name, graph::paramsArk(), wopt);
-
-        sched::SchedOptions full = cropheOptions();
-        full.pruneSearch = false;
-        sched::SchedOptions pruned = cropheOptions();
-        pruned.pruneSearch = true;
-
-        const std::vector<sched::Schedule> a = segmentSchedules(w, cfg, full);
-        const std::vector<sched::Schedule> b =
-            segmentSchedules(w, cfg, pruned);
-        EXPECT_EQ(workloadResultBytes(sched::aggregateWorkload(w, cfg, a, 1)),
-                  workloadResultBytes(sched::aggregateWorkload(w, cfg, b, 1)))
-            << name << " @ " << GetParam() << " threads";
-        for (std::size_t i = 0; i < w.segments.size(); ++i) {
-            SCOPED_TRACE(std::string(name) + "/" + w.segments[i].name);
-            expectSamePlan(a[i], b[i]);
-        }
-    }
-}
-
 TEST_P(PlanIdentity, DiskWarmScheduleMatchesColdSchedule)
 {
     ThreadPool::setGlobalThreads(GetParam());

@@ -4,9 +4,9 @@
  * global SRAM capacity shrinks — CROPHE-64 vs ARK (512→64 MB) and
  * CROPHE-36 vs SHARP (180→45 MB), on all four workloads.
  *
- * With --plan-cache DIR (or $CROPHE_PLAN_CACHE) schedule searches are
- * served from / persisted to the content-addressed plan cache
- * (DESIGN.md §8); reruns print byte-identical tables either way.
+ * The run searches each distinct graph once through one plan cache
+ * (DESIGN.md §8); --plan-cache DIR (or $CROPHE_PLAN_CACHE) adds its disk
+ * tier, which persists plans across runs.
  */
 
 #include <cstdio>
@@ -82,15 +82,12 @@ main(int argc, char **argv)
                                    cli::CommonFlags::kPlanCache);
     if (!flags.parse(argc, argv))
         return 1;
-    const std::string &plan_dir = common.planCacheDir;
     setVerbose(false);
     installShutdownHandler();
 
-    std::unique_ptr<plan::PlanCache> cache;
-    if (!plan_dir.empty())
-        cache = std::make_unique<plan::PlanCache>(plan_dir);
+    plan::PlanCache cache(common.planCacheDir);
     baselines::RunOptions run;
-    run.planCache = cache.get();
+    run.planCache = &cache;
 
     bench::printHeader("Figure 10(a,b): CROPHE-64 vs ARK, shrinking SRAM");
     sweep("ARK+MAD", "CROPHE-64", "CROPHE-p-64", {512.0, 256.0, 128.0,

@@ -11,14 +11,13 @@
  * simulated sim.* totals of the winning configuration are dumped as JSON,
  * so the figure can be regenerated straight from telemetry. With
  * --trace-out FILE the winning configuration's cycle-level simulation is
- * recorded as Perfetto-loadable Chrome trace JSON. With --plan-cache DIR
- * (or $CROPHE_PLAN_CACHE) schedule searches go through the
- * content-addressed plan cache (DESIGN.md §8).
+ * recorded as Perfetto-loadable Chrome trace JSON. --plan-cache DIR (or
+ * $CROPHE_PLAN_CACHE) adds a disk tier to the run's plan cache
+ * (DESIGN.md §8), which persists plans across runs.
  */
 
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "baselines/baseline.h"
@@ -57,7 +56,7 @@ recordBars(telemetry::StatsRegistry *reg, const std::string &group,
 void
 breakdown(const char *baseline_name, const char *crophe_name,
           double sram_mb, telemetry::SimTelemetry *telem,
-          telemetry::SearchTelemetry *search, plan::PlanCache *cache)
+          telemetry::SearchTelemetry *search, plan::PlanCache &cache)
 {
     auto baseline = baselines::withSram(
         baselines::designByName(baseline_name), sram_mb);
@@ -81,7 +80,7 @@ breakdown(const char *baseline_name, const char *crophe_name,
 
     // Baseline accelerator with MAD.
     baselines::RunOptions brun;
-    brun.planCache = cache;
+    brun.planCache = &cache;
     brun.search = search;
     auto base = baselines::runDesign(baseline, "bootstrap", brun);
     report("baseline", base, base.stats.cycles);
@@ -98,7 +97,7 @@ breakdown(const char *baseline_name, const char *crophe_name,
 
     sched::SchedOptions opt;  // cross-operator dataflow on
     opt.search = search;
-    opt.planCache = cache;
+    opt.planCache = &cache;
     sched::RotationChoice best_choice;
     auto run_mode = [&](const char *label, bool nttdec, bool hybrot) {
         opt.nttDecomp = nttdec;
@@ -144,12 +143,9 @@ main(int argc, char **argv)
         return 1;
     const std::string &trace_out = common.traceOut;
     const std::string &stats_out = common.statsOut;
-    const std::string &plan_dir = common.planCacheDir;
     installShutdownHandler();
 
-    std::unique_ptr<plan::PlanCache> cache;
-    if (!plan_dir.empty())
-        cache = std::make_unique<plan::PlanCache>(plan_dir);
+    plan::PlanCache cache(common.planCacheDir);
 
     telemetry::TraceRecorder recorder;
     telemetry::StatsRegistry registry;
@@ -166,8 +162,7 @@ main(int argc, char **argv)
     auto flush_outputs = [&](bool truncated) {
         if (!stats_out.empty()) {
             search.registerStats(registry);
-            if (cache != nullptr)
-                cache->registerStats(registry);
+            cache.registerStats(registry);
             if (truncated)
                 registry.scalar("run.truncated",
                                 "run was interrupted by SIGINT/SIGTERM")
@@ -208,13 +203,13 @@ main(int argc, char **argv)
     bench::printHeader("Figure 11: technique breakdown, bootstrapping");
     breakdown("ARK+MAD", "CROPHE-64", 64.0,
               telemetry_on ? &telem : nullptr,
-              telemetry_on ? &search : nullptr, cache.get());
+              telemetry_on ? &search : nullptr, cache);
     if (shutdownRequested())
         return bail_out();
     std::printf("\n");
     breakdown("SHARP+MAD", "CROPHE-36", 45.0,
               telemetry_on ? &telem : nullptr,
-              telemetry_on ? &search : nullptr, cache.get());
+              telemetry_on ? &search : nullptr, cache);
     if (shutdownRequested())
         return bail_out();
 

@@ -5,13 +5,13 @@
  * CROPHE-p) for the 64-bit and 36-bit groups.
  *
  * Pass "--simulate" to drive the cycle-level simulator instead of the
- * analytical cost model (slower; same shapes). With --plan-cache DIR
- * (or $CROPHE_PLAN_CACHE) schedule searches are served from / persisted
- * to a content-addressed plan cache: a warm rerun prints byte-identical
- * tables while skipping the search work (DESIGN.md §8). With
- * --stats-out FILE the telemetry registry — sched.search.*, sched.enum.*
- * and plan.cache.* — is dumped as JSON, which is how the CI cold/warm
- * job asserts that the second run actually hit the cache.
+ * analytical cost model (slower; same shapes). The run searches each
+ * distinct graph once through one plan cache (DESIGN.md §8);
+ * --plan-cache DIR (or $CROPHE_PLAN_CACHE) adds its disk tier, so a warm
+ * rerun prints byte-identical tables while skipping the search work.
+ * With --stats-out FILE the telemetry registry — sched.search.*,
+ * sched.enum.* and plan.cache.* — is dumped as JSON, which is how the CI
+ * cold/warm job asserts that the second run actually hit the cache.
  */
 
 #include <cstdio>
@@ -57,18 +57,15 @@ main(int argc, char **argv)
                     "(fused|ostat|reordup|all, comma-separated)", "LIST");
     if (!flags.parse(argc, argv))
         return 1;
-    const std::string &plan_dir = common.planCacheDir;
     const std::string &stats_out = common.statsOut;
     setVerbose(false);
     installShutdownHandler();
 
-    std::unique_ptr<plan::PlanCache> cache;
-    if (!plan_dir.empty())
-        cache = std::make_unique<plan::PlanCache>(plan_dir);
+    plan::PlanCache cache(common.planCacheDir);
     telemetry::SearchTelemetry search;
     baselines::RunOptions run;
     run.simulate = simulate;
-    run.planCache = cache.get();
+    run.planCache = &cache;
     if (!stats_out.empty())
         run.search = &search;
     try {
@@ -87,8 +84,7 @@ main(int argc, char **argv)
             return true;
         telemetry::StatsRegistry registry;
         search.registerStats(registry, "sched");
-        if (cache != nullptr)
-            cache->registerStats(registry);
+        cache.registerStats(registry);
         if (truncated)
             registry.scalar("run.truncated",
                             "run was interrupted by SIGINT/SIGTERM")

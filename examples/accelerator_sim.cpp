@@ -10,9 +10,9 @@
  * the transpose unit and each busy DRAM channel. With --stats-out FILE
  * the telemetry registry (sim.* totals matching SimStats, sched.search.*
  * and sched.enum.* from the scheduler) is dumped as nested JSON; the
- * text form goes to stdout. With --plan-cache DIR (or
- * $CROPHE_PLAN_CACHE) schedule searches go through the content-addressed
- * plan cache (DESIGN.md §8).
+ * text form goes to stdout. --plan-cache DIR (or $CROPHE_PLAN_CACHE)
+ * adds a disk tier to the run's plan cache (DESIGN.md §8), which
+ * persists plans across runs.
  *
  * With --fault-plan SPEC (or $CROPHE_FAULT_PLAN) the run executes under
  * the seeded fault plan (DESIGN.md §9): transient DRAM/NoC faults are
@@ -26,7 +26,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "baselines/baseline.h"
@@ -91,7 +90,6 @@ run(int argc, char **argv)
         return 1;
     const std::string &trace_out = common.traceOut;
     const std::string &stats_out = common.statsOut;
-    const std::string &plan_dir = common.planCacheDir;
     u32 rot_mask = 0xF;
     u32 ks_mask = 0x7;
     try {
@@ -109,9 +107,7 @@ run(int argc, char **argv)
 
     installShutdownHandler();
 
-    std::unique_ptr<plan::PlanCache> cache;
-    if (!plan_dir.empty())
-        cache = std::make_unique<plan::PlanCache>(plan_dir);
+    plan::PlanCache cache(common.planCacheDir);
 
     // Parsing against the pod size rejects plans that would kill every
     // chip, naming the offending token (DESIGN.md §14).
@@ -156,8 +152,7 @@ run(int argc, char **argv)
     auto flush_outputs = [&](bool truncated) {
         if (!stats_out.empty()) {
             search.registerStats(registry);
-            if (cache != nullptr)
-                cache->registerStats(registry);
+            cache.registerStats(registry);
             if (truncated)
                 registry.scalar("run.truncated",
                                 "run was interrupted by SIGINT/SIGTERM")
@@ -205,7 +200,7 @@ run(int argc, char **argv)
     wopt.rHyb = 4;
     auto w = graph::buildResNet20(run_design.params, wopt);
     sched::SchedOptions opt;
-    opt.planCache = cache.get();
+    opt.planCache = &cache;
     opt.deadlineSeconds = deadline;
     if (telemetry_on)
         opt.search = &search;
@@ -247,7 +242,7 @@ run(int argc, char **argv)
     // End-to-end, with the rotation-scheme × ks-dataflow search.
     baselines::RunOptions run;
     run.simulate = true;
-    run.planCache = cache.get();
+    run.planCache = &cache;
     run.faults = faults;
     run.deadlineSeconds = deadline;
     run.rotSchemeMask = rot_mask;
@@ -310,7 +305,7 @@ run(int argc, char **argv)
         // the baseline itself approximate, so it runs exact).
         baselines::RunOptions healthy_run;
         healthy_run.simulate = true;
-        healthy_run.planCache = cache.get();
+        healthy_run.planCache = &cache;
         if (telemetry_on)
             healthy_run.search = &search;
         auto healthy = baselines::runDesign(design, "resnet20",

@@ -10,6 +10,7 @@
 
 #include "common/logging.h"
 #include "graph/workloads.h"
+#include "plan/plan_cache.h"
 #include "sched/dataflow_report.h"
 #include "sched/hybrid_rotation.h"
 #include "sched/mad.h"
@@ -36,7 +37,9 @@ main()
     auto mad = sched::scheduleWorkloadMad(w_mad, cfg);
 
     // CROPHE: rotation-scheme search + full cross-operator scheduling.
+    plan::PlanCache cache;
     sched::SchedOptions opt;
+    opt.planCache = &cache;
     auto choice =
         sched::chooseRotationScheme("bootstrap", params, cfg, opt, true);
 

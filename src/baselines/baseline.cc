@@ -1,7 +1,5 @@
 #include "baselines/baseline.h"
 
-#include <chrono>
-
 #include "common/error.h"
 #include "common/logging.h"
 #include "sched/enumerator.h"
@@ -9,7 +7,6 @@
 #include "sched/mad.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
-#include "telemetry/search_telemetry.h"
 
 namespace crophe::baselines {
 
@@ -61,20 +58,22 @@ designByName(const std::string &name)
     throw RecoverableError("unknown design: " + name);
 }
 
-namespace {
-
 sched::WorkloadResult
-runDesignImpl(const DesignSpec &design, const std::string &workload,
-              const RunOptions &run, sched::GroupMemo &memo)
+runDesign(const DesignSpec &design, const std::string &workload,
+          const RunOptions &run)
 {
+    // One memo spans the rotation/cluster sweeps and the final schedule:
+    // a design's candidate graphs are riddled with repeated subgraphs.
+    sched::GroupMemo memo;
+    sched::SchedOptions opt =
+        design.mad ? sched::madOptions() : sched::SchedOptions();
+    opt.memo = &memo;
+    opt.planCache = run.planCache;
+    opt.search = run.search;
+    opt.deadlineSeconds = run.deadlineSeconds;
     if (design.mad) {
         graph::Workload w = graph::buildWorkload(
             workload, design.params, sched::madWorkloadOptions());
-        sched::SchedOptions opt = sched::madOptions();
-        opt.memo = &memo;
-        opt.planCache = run.planCache;
-        opt.search = run.search;
-        opt.deadlineSeconds = run.deadlineSeconds;
         sched::WorkloadResult res =
             run.simulate ? sim::simulateWorkload(w, design.cfg, opt,
                                                  nullptr, run.faults)
@@ -83,13 +82,8 @@ runDesignImpl(const DesignSpec &design, const std::string &workload,
         return res;
     }
 
-    sched::SchedOptions opt;
     opt.crossOpDataflow = true;
     opt.nttDecomp = design.nttDecomp;
-    opt.memo = &memo;
-    opt.planCache = run.planCache;
-    opt.search = run.search;
-    opt.deadlineSeconds = run.deadlineSeconds;
     opt.rotSchemeMask = run.rotSchemeMask;
     opt.ksDataflowMask = run.ksDataflowMask;
 
@@ -98,28 +92,25 @@ runDesignImpl(const DesignSpec &design, const std::string &workload,
     auto choice = sched::chooseRotationScheme(
         workload, design.params, design.cfg, opt, design.hybridRot);
 
-    graph::WorkloadOptions wopt;
-    wopt.rotMode = choice.mode;
-    wopt.rHyb = choice.rHyb;
-    wopt.ksDataflow = choice.ksDataflow;
-    graph::Workload w = graph::buildWorkload(workload, design.params, wopt);
-
     sched::WorkloadResult res;
-    if (design.dataParallel) {
-        // Pick the best cluster count, then (optionally) simulate it.
-        auto best = sched::scheduleWorkloadAutoClusters(w, design.cfg, opt);
-        if (run.simulate) {
-            opt.clusters = best.clusters;
+    if (design.dataParallel || run.simulate) {
+        graph::WorkloadOptions wopt;
+        wopt.rotMode = choice.mode;
+        wopt.rHyb = choice.rHyb;
+        wopt.ksDataflow = choice.ksDataflow;
+        graph::Workload w =
+            graph::buildWorkload(workload, design.params, wopt);
+        if (design.dataParallel) {
+            // Pick the best cluster count, then (optionally) simulate it.
+            res = sched::scheduleWorkloadAutoClusters(w, design.cfg, opt);
+            opt.clusters = res.clusters;
+        }
+        if (run.simulate)
             res = sim::simulateWorkload(w, design.cfg, opt, nullptr,
                                         run.faults);
-        } else {
-            res = std::move(best);
-        }
     } else {
-        opt.clusters = 1;
-        res = run.simulate ? sim::simulateWorkload(w, design.cfg, opt,
-                                                   nullptr, run.faults)
-                           : sched::scheduleWorkload(w, design.cfg, opt);
+        // The search scheduled the winner whole-chip with these options.
+        res = std::move(choice.result);
     }
     res.design = design.name;
     res.rotScheme = graph::rotModeName(choice.mode);
@@ -127,34 +118,6 @@ runDesignImpl(const DesignSpec &design, const std::string &workload,
         res.rotScheme += " r=" + std::to_string(choice.rHyb);
     res.ksDataflow = graph::ksDataflowName(choice.ksDataflow);
     return res;
-}
-
-}  // namespace
-
-sched::WorkloadResult
-runDesign(const DesignSpec &design, const std::string &workload,
-          const RunOptions &run)
-{
-    // One memo spans the rotation/cluster sweeps and the final schedule:
-    // a design's candidate graphs are riddled with repeated subgraphs.
-    sched::GroupMemo memo;
-    auto start = std::chrono::steady_clock::now();
-    sched::WorkloadResult res = runDesignImpl(design, workload, run, memo);
-    if (run.search != nullptr) {
-        std::chrono::duration<double> elapsed =
-            std::chrono::steady_clock::now() - start;
-        run.search->addDesignSeconds(elapsed.count());
-    }
-    return res;
-}
-
-sched::WorkloadResult
-runDesign(const DesignSpec &design, const std::string &workload,
-          bool simulate)
-{
-    RunOptions run;
-    run.simulate = simulate;
-    return runDesign(design, workload, run);
 }
 
 DesignSpec

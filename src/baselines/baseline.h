@@ -59,7 +59,7 @@ struct RunOptions
     bool simulate = false;
     /** Optional content-addressed schedule cache (DESIGN.md §8). */
     plan::PlanCache *planCache = nullptr;
-    /** Optional search observer; also accrues scheduling wall-clock. */
+    /** Optional search observer (SchedOptions::search). */
     telemetry::SearchTelemetry *search = nullptr;
     /** Optional transient-fault injector for the simulation phase
      *  (DESIGN.md §9); structural faults degrade cfg before the call. */
@@ -82,12 +82,7 @@ struct RunOptions
  */
 sched::WorkloadResult runDesign(const DesignSpec &design,
                                 const std::string &workload,
-                                const RunOptions &run);
-
-/** Convenience overload keeping the original positional-bool call. */
-sched::WorkloadResult runDesign(const DesignSpec &design,
-                                const std::string &workload,
-                                bool simulate = false);
+                                const RunOptions &run = {});
 
 /** Copy of @p design with the global buffer resized (Figure 10 sweeps). */
 DesignSpec withSram(const DesignSpec &design, double sram_mb);

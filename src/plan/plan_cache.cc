@@ -114,18 +114,26 @@ bool
 PlanCache::lookup(const PlanKey &key, const graph::Graph &g,
                   sched::Schedule &out)
 {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key.combined());
-    if (it != index_.end() && it->second->key == key) {
-        ++stats_.hits;
-        touchFront(it->second);
-        const sched::Schedule &plan = it->second->plan;
-        out = sched::Schedule{.graph = plan.nttN1 == 0 ? g : plan.graph,
-                              .nttN1 = plan.nttN1,
-                              .groups = plan.groups,
-                              .stats = plan.stats,
-                              .warmStats = plan.warmStats};
-        return true;
+    std::unique_lock<std::mutex> lock(mu_);
+    const u64 id = key.combined();
+    const std::thread::id self = std::this_thread::get_id();
+    for (;;) {
+        auto it = index_.find(id);
+        if (it != index_.end() && it->second->key == key) {
+            ++stats_.hits;
+            touchFront(it->second);
+            const sched::Schedule &plan = it->second->plan;
+            out = sched::Schedule{.graph = plan.nttN1 == 0 ? g : plan.graph,
+                                  .nttN1 = plan.nttN1,
+                                  .groups = plan.groups,
+                                  .stats = plan.stats,
+                                  .warmStats = plan.warmStats};
+            return true;
+        }
+        auto claim = claims_.find(id);
+        if (claim == claims_.end() || claim->second == self)
+            break;
+        released_.wait(lock);
     }
     if (!dir_.empty() && loadFromDisk(key, g, out)) {
         ++stats_.diskHits;
@@ -135,6 +143,7 @@ PlanCache::lookup(const PlanKey &key, const graph::Graph &g,
         return true;
     }
     ++stats_.misses;
+    claims_.emplace(id, self);
     return false;
 }
 
@@ -145,11 +154,22 @@ PlanCache::insert(const PlanKey &key, const sched::Schedule &schedule)
     // before taking the lock.
     const std::vector<u8> payload =
         dir_.empty() ? std::vector<u8>() : scheduleBytes(schedule);
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        if (remember(key, schedule))
+            ++stats_.insertions;
+        if (!dir_.empty())
+            writeToDisk(key, payload);
+    }
+    release(key);
+}
+
+void
+PlanCache::release(const PlanKey &key)
+{
     std::lock_guard<std::mutex> lock(mu_);
-    if (remember(key, schedule))
-        ++stats_.insertions;
-    if (!dir_.empty())
-        writeToDisk(key, payload);
+    if (claims_.erase(key.combined()) > 0)
+        released_.notify_all();
 }
 
 std::string

@@ -29,15 +29,27 @@
  * trusts the exact-graph key and does not check the groups against the
  * caller's graph again.
  *
+ * Single flight: a lookup that misses claims its key, and a lookup of a
+ * key another thread claimed waits until that thread inserts the plan
+ * (the wait then returns it as a hit) or releases the claim (the waiter
+ * then looks again and may claim the key itself). So concurrent callers
+ * search each key once. A thread never waits on its own claim. Waits
+ * cannot form a cycle as long as a claim holder looks up no other key
+ * before it inserts or releases: sched::scheduleGraph claims, runs a
+ * search that calls no scheduleGraph, and the pool's forking thread
+ * drains only its own nested batches (ThreadPool::run).
+ *
  * Thread safety: all operations take an internal mutex; concurrent lookups
  * and inserts from the scheduler's thread pool are safe. Disk writes go to
  * a temp file then rename(2), so concurrent processes sharing a directory
  * see either the old file or the complete new one.
  */
 
+#include <condition_variable>
 #include <list>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -72,7 +84,7 @@ struct PlanKey
 /** Monotonic operation counters (telemetry + tests). */
 struct PlanCacheStats
 {
-    u64 hits = 0;         ///< memory-tier hits
+    u64 hits = 0;         ///< memory-tier hits, waits for a claim included
     u64 misses = 0;       ///< lookups that found nothing in either tier
     u64 insertions = 0;
     u64 evictions = 0;    ///< LRU evictions from the memory tier
@@ -90,16 +102,18 @@ class PlanCache
      *        first write if missing.
      * @param max_entries memory-tier LRU capacity.
      */
-    explicit PlanCache(std::string dir = "", std::size_t max_entries = 256);
+    explicit PlanCache(std::string dir = "", std::size_t max_entries = 4096);
 
     /**
-     * Look up @p key, made from graph @p g. On a hit (either tier) sets
+     * Look up @p key, made from graph @p g. While another thread holds
+     * the key's claim, waits for it first. On a hit (either tier) sets
      * @p out to the stored schedule and returns true. Its graph is @p g,
      * or the stored rewrite of @p g when its nttN1 is not 0. A disk entry
      * is decoded against @p g and promoted into the memory tier. Returns
      * false on a miss, or when the disk entry fails validation or
      * decoding; that counts as a disk reject and a miss, and leaves
-     * @p out unspecified.
+     * @p out unspecified. A miss claims @p key for this thread until
+     * insert() or release().
      */
     bool lookup(const PlanKey &key, const graph::Graph &g,
                 sched::Schedule &out);
@@ -107,9 +121,14 @@ class PlanCache
     /**
      * Store @p schedule under @p key in the memory tier and, when a
      * directory is configured, write its serialization through to disk
-     * atomically. Re-inserting an existing key refreshes its LRU position.
+     * atomically, then release the key's claim. Re-inserting an existing
+     * key refreshes its LRU position.
      */
     void insert(const PlanKey &key, const sched::Schedule &schedule);
+
+    /** Release @p key's claim without storing a plan (a search that was
+     *  truncated or threw); a waiting lookup then looks again. */
+    void release(const PlanKey &key);
 
     PlanCacheStats stats() const;
 
@@ -142,6 +161,10 @@ class PlanCache
     void touchFront(std::list<Entry>::iterator it);
 
     mutable std::mutex mu_;
+    /** Signalled whenever a claim is released. */
+    std::condition_variable released_;
+    /** Claimed keys (PlanKey::combined) and the thread searching each. */
+    std::unordered_map<u64, std::thread::id> claims_;
     std::string dir_;
     std::size_t maxEntries_;
     /** MRU-first entry list + key index into it. */

@@ -12,8 +12,8 @@
  * KeySwitch looks alike) are each analyzed only once — the paper's
  * redundant-subgraph merging.
  *
- * The memo is SHARED across enumerators (the nttDecomp / rotation /
- * cluster sweeps all schedule near-identical graphs): GroupMemo is a
+ * The memo is SHARED across enumerators (the nttDecomp and rotation
+ * sweeps schedule near-identical graphs): GroupMemo is a
  * thread-safe store keyed by a context-extended structural hash. The
  * extension folds in each window op's external-producer volumes (the only
  * out-of-window data analyzeSpatialGroup reads) plus the hardware digest

@@ -68,15 +68,18 @@ struct SchedOptions
     telemetry::SearchTelemetry *search = nullptr;
     /**
      * Optional content-addressed schedule cache (DESIGN.md §8). A hit
-     * returns a byte-identical schedule without searching; null disables
-     * caching. Not part of optionsDigest().
+     * returns a byte-identical schedule without searching, and concurrent
+     * misses of one key search it once; null disables caching. Not part
+     * of optionsDigest().
      */
     plan::PlanCache *planCache = nullptr;
     /**
-     * Optional shared group-analysis memo. When set, the nttDecomp /
-     * rotation-scheme / cluster sweeps share one structural-hash memo
-     * instead of rebuilding one per candidate; when null each top-level
-     * schedule call creates its own. Not part of optionsDigest().
+     * Optional shared group-analysis memo. When set, the nttDecomp and
+     * rotation-scheme sweeps share one structural-hash memo instead of
+     * rebuilding one per candidate; when null each top-level schedule
+     * call creates its own. The cluster sweep passes it on but gains
+     * nothing from it: each cluster count's sliced config has its own
+     * digest, so their windows share no key. Not part of optionsDigest().
      */
     GroupMemo *memo = nullptr;
     /**

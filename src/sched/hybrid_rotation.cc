@@ -112,10 +112,10 @@ chooseRotationScheme(const std::string &workload,
 
     // The (rotation scheme × ks dataflow) candidates are independent
     // searches. Evaluate them in parallel into per-candidate slots, then
-    // record telemetry and reduce on this thread in candidate order — the
-    // sequential sweep's first-wins tie-breaking, bit for bit. Dataflows
-    // iterate innermost with Fused first, so on a tie the legacy
-    // (per-scheme Fused) winner still wins.
+    // reduce on this thread in candidate order — the sequential sweep's
+    // first-wins tie-breaking, bit for bit. Dataflows iterate innermost
+    // with Fused first, so on a tie the legacy (per-scheme Fused) winner
+    // still wins.
     struct Candidate
     {
         graph::RotMode mode;
@@ -174,8 +174,6 @@ chooseRotationScheme(const std::string &workload,
 
     for (u64 i = 0; i < cands.size(); ++i) {
         WorkloadResult &res = *results[i];
-        if (opt.search != nullptr)
-            opt.search->recordCandidate(res.stats.cycles);
         if (res.stats.cycles < best.result.stats.cycles) {
             best.mode = cands[i].mode;
             best.rHyb = cands[i].rHyb;

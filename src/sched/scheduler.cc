@@ -435,7 +435,7 @@ scheduleGraphSearch(const Graph &g, const hw::HwConfig &cfg,
 
     Schedule best = scheduleOneGraph(g, cfg, opt, deadline);
     if (opt.search != nullptr)
-        opt.search->recordCandidate(best.stats.cycles);
+        opt.search->recordCandidate();
     if (!opt.nttDecomp || !opt.crossOpDataflow)
         return finish(std::move(best), false);
 
@@ -463,7 +463,7 @@ scheduleGraphSearch(const Graph &g, const hw::HwConfig &cfg,
     bool truncated = best.degraded;
     for (u64 i = 0; i < options.size(); ++i) {
         if (opt.search != nullptr)
-            opt.search->recordCandidate(cands[i]->stats.cycles);
+            opt.search->recordCandidate();
         // A truncated candidate taints the sweep even when another one
         // wins: the comparison no longer matches the exhaustive search.
         truncated = truncated || cands[i]->degraded;
@@ -513,10 +513,21 @@ scheduleGraph(const Graph &g, const hw::HwConfig &cfg,
         o.search->addPlanLookup(hit);
     if (hit)
         return sched;
-    sched = scheduleGraphSearch(g, cfg, o);
+    // The miss claimed the key, so concurrent lookups of it wait for this
+    // search (single flight, DESIGN.md §8). The search looks up no other
+    // key, so waits never form a cycle; a search that throws releases the
+    // claim, and a waiter then searches itself.
+    try {
+        sched = scheduleGraphSearch(g, cfg, o);
+    } catch (...) {
+        o.planCache->release(key);
+        throw;
+    }
     // Deadline-truncated schedules are anytime fallbacks, not the exact
     // result this key promises — never cache them (DESIGN.md §9).
-    if (!sched.degraded)
+    if (sched.degraded)
+        o.planCache->release(key);
+    else
         o.planCache->insert(key, sched);
     return sched;
 }
@@ -569,25 +580,17 @@ scheduleWorkloadAutoClusters(const graph::Workload &w,
         if (cfg.numPes / k != 0)
             ks.push_back(k);
     // Cluster counts are independent design points: evaluate in parallel,
-    // then record and reduce in candidate order for determinism. The
-    // group memo spans all candidates (cluster-sliced configs get their
-    // own keys via the hardware digest, so there is no false sharing).
-    GroupMemo local_memo;
+    // then reduce in candidate order for determinism.
     std::vector<std::unique_ptr<WorkloadResult>> results(ks.size());
     parallelFor(0, ks.size(), [&](u64 i) {
         SchedOptions o = opt;
-        if (o.memo == nullptr)
-            o.memo = &local_memo;
         o.clusters = ks[i];
         results[i] =
             std::make_unique<WorkloadResult>(scheduleWorkload(w, cfg, o));
     });
-    for (u64 i = 0; i < ks.size(); ++i) {
-        if (opt.search != nullptr)
-            opt.search->recordCandidate(results[i]->stats.cycles);
+    for (u64 i = 0; i < ks.size(); ++i)
         if (results[i]->stats.cycles < best.stats.cycles)
             best = std::move(*results[i]);
-    }
     return best;
 }
 

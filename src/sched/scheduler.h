@@ -26,7 +26,8 @@ namespace crophe::sched {
  * When opt.planCache is set, the whole search is keyed by (graph digest,
  * hardware digest, options digest): a hit returns the previously found
  * schedule byte-for-byte; a miss runs the search and stores the result
- * (DESIGN.md §8).
+ * (DESIGN.md §8). Concurrent calls with one key search once: the others
+ * wait for that search and return its schedule.
  */
 Schedule scheduleGraph(const graph::Graph &g, const hw::HwConfig &cfg,
                        const SchedOptions &opt);

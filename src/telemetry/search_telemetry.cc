@@ -7,10 +7,9 @@
 namespace crophe::telemetry {
 
 void
-SearchTelemetry::recordCandidate(double cost)
+SearchTelemetry::recordCandidate()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    bestCost_ = candidates_ == 0 ? cost : std::min(bestCost_, cost);
     ++candidates_;
 }
 
@@ -48,13 +47,6 @@ SearchTelemetry::addDeadlineHit()
     ++deadlineHits_;
 }
 
-void
-SearchTelemetry::addDesignSeconds(double seconds)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    designSeconds_ += seconds;
-}
-
 u64
 SearchTelemetry::planHits() const
 {
@@ -76,13 +68,6 @@ SearchTelemetry::deadlineHits() const
     return deadlineHits_;
 }
 
-double
-SearchTelemetry::designSeconds() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return designSeconds_;
-}
-
 u64
 SearchTelemetry::candidates() const
 {
@@ -102,13 +87,6 @@ SearchTelemetry::memoHits() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return memoHits_;
-}
-
-double
-SearchTelemetry::bestCost() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return bestCost_;
 }
 
 std::vector<SearchChoice>
@@ -137,11 +115,8 @@ SearchTelemetry::registerStats(StatsRegistry &reg,
                                const std::string &prefix) const
 {
     reg.counter(prefix + ".search.candidates",
-                "candidate schedules evaluated")
+                "candidate graph schedules evaluated")
         .set(candidates());
-    reg.scalar(prefix + ".search.bestCycles",
-               "cheapest candidate schedule cost")
-        .set(bestCost());
     Counter &analyzed_ctr = reg.counter(
         prefix + ".enum.analyzed",
         "unique subgraphs analyzed by the group enumerator");
@@ -156,9 +131,6 @@ SearchTelemetry::registerStats(StatsRegistry &reg,
     reg.counter(prefix + ".plan.misses",
                 "plan-cache lookups that fell back to a full search")
         .set(planMisses());
-    reg.scalar(prefix + ".search.designSeconds",
-               "per-design run seconds summed across threads")
-        .set(designSeconds());
     // Only registered once a deadline actually truncated a search, so
     // deadline-free runs keep their pre-anytime stats dumps byte-identical.
     if (deadlineHits() > 0)

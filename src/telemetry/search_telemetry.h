@@ -3,11 +3,13 @@
 
 /**
  * @file
- * Scheduler search observability: every candidate schedule the search
- * evaluates (base dataflow, NTT-decomposition factors, rotation schemes,
- * cluster counts) is counted and the cheapest cost kept, together with
- * the group enumerator's memoization effectiveness (unique subgraphs
- * analyzed vs memo hits — the paper's redundant-subgraph merging).
+ * Scheduler search observability: every candidate schedule a graph search
+ * evaluates (the base graph and each NTT-decomposition factor) is
+ * counted, together with the group enumerator's memoization
+ * effectiveness (unique subgraphs analyzed vs memo hits — the paper's
+ * redundant-subgraph merging) and the plan-cache lookups. Workload-level
+ * choices (rotation scheme, ks dataflow, cluster count) are not
+ * candidates here; the rotation search records only its winner.
  *
  * Observers are attached via SchedOptions::search; a null pointer keeps
  * the scheduler free of any telemetry work.
@@ -38,14 +40,14 @@ struct SearchChoice
  *
  * Thread-safe: the scheduler evaluates candidate sweeps in parallel, so
  * recordCandidate/addEnumeration may race. Every read is independent of
- * the arrival order (counts, sums, a minimum, choices() sorted), so the
- * dump is byte-identical for any thread count.
+ * the arrival order (counts, sums, choices() sorted), so the dump is
+ * byte-identical for any thread count.
  */
 class SearchTelemetry
 {
   public:
-    /** Record one evaluated candidate schedule of @p cost cycles. */
-    void recordCandidate(double cost);
+    /** Record one evaluated candidate graph schedule. */
+    void recordCandidate();
 
     /** Record the variant the rotation/ks-dataflow search settled on. */
     void recordChoice(const std::string &workload,
@@ -61,13 +63,6 @@ class SearchTelemetry
     /** Record one graph search truncated by its anytime deadline. */
     void addDeadlineHit();
 
-    /**
-     * Add one design run's elapsed seconds (its search, plus simulation
-     * under --simulate). Concurrent runs each add their own, so the sum
-     * can exceed the wall time of the whole harness.
-     */
-    void addDesignSeconds(double seconds);
-
     u64 candidates() const;
     u64 analyzed() const;
     u64 memoHits() const;
@@ -79,9 +74,6 @@ class SearchTelemetry
     u64 planHits() const;
     u64 planMisses() const;
     u64 deadlineHits() const;
-    double designSeconds() const;
-    /** Cheapest candidate cost recorded (0 before the first). */
-    double bestCost() const;
 
     /** Recorded winners, sorted by (workload, rot, ks) for determinism. */
     std::vector<SearchChoice> choices() const;
@@ -93,14 +85,12 @@ class SearchTelemetry
   private:
     mutable std::mutex mu_;
     u64 candidates_ = 0;
-    double bestCost_ = 0.0;
     std::vector<SearchChoice> choices_;  ///< raw order
     u64 analyzed_ = 0;
     u64 memoHits_ = 0;
     u64 planHits_ = 0;
     u64 planMisses_ = 0;
     u64 deadlineHits_ = 0;
-    double designSeconds_ = 0.0;
 };
 
 }  // namespace crophe::telemetry

@@ -159,7 +159,7 @@ bootstrapFingerprint()
     reg.dumpText(os);
 
     // Search telemetry.
-    os << st.candidates() << "|" << st.bestCost() << "\n";
+    os << st.candidates() << "\n";
     return os.str();
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 
 #include "fault/fault_plan.h"
 #include "graph/workloads.h"
@@ -123,6 +124,28 @@ TEST(AnytimeDeadline, TruncatedSchedulesNeverEnterThePlanCache)
     auto warm = scheduleGraph(testGraph(), cfg, exact_opt);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(plan::scheduleBytes(exact), plan::scheduleBytes(warm));
+}
+
+TEST(AnytimeDeadline, TruncatedSearchesReleaseTheirPlanCacheClaim)
+{
+    // The truncated search's miss claimed the key; it must release the
+    // claim without inserting, so a caller on another thread searches
+    // the key itself instead of waiting for a plan that never comes.
+    auto cfg = hw::configCrophe64();
+    plan::PlanCache cache;
+    SchedOptions opt;
+    opt.deadlineSeconds = kExpired;
+    opt.planCache = &cache;
+    EXPECT_TRUE(scheduleGraph(testGraph(), cfg, opt).degraded);
+
+    Schedule second;
+    std::thread other(
+        [&] { second = scheduleGraph(testGraph(), cfg, opt); });
+    other.join();
+    EXPECT_TRUE(second.degraded);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 0u);
+    EXPECT_EQ(cache.stats().insertions, 0u);
 }
 
 TEST(AnytimeDeadline, HealthyCacheEntriesNeverServeDegradedHardware)

@@ -6,7 +6,9 @@
 #include <functional>
 #include <iterator>
 #include <map>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,10 +19,12 @@
 #include "plan/plan_cache.h"
 #include "plan/serialize.h"
 #include "sched/enumerator.h"
+#include "sched/hybrid_rotation.h"
 #include "sched/ntt_decomp.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
 #include "telemetry/search_telemetry.h"
+#include "telemetry/stats_registry.h"
 #include "tests/plan/plan_test_util.h"
 
 namespace crophe::plan {
@@ -610,6 +614,83 @@ TEST(PlanCache, PoolThreadsSimulateOneSharedHit)
         EXPECT_EQ(hits[i].groups.get(), hits[0].groups.get());
         expectSamePlan(hits[i], cold);
         expectSameSimStats(sims[i], cold_sim);
+    }
+}
+
+TEST(PlanCache, AThreadNeverWaitsOnItsOwnClaim)
+{
+    // The first miss claims the key; a second lookup on the same thread
+    // misses again instead of waiting for itself, and insert releases the
+    // claim, so another thread's lookup then hits.
+    const graph::Graph g = fourOps("xyzo");
+    const sched::Schedule plan = searched(g);
+    PlanCache cache;
+    sched::Schedule out;
+    EXPECT_FALSE(cache.lookup(key(1), g, out));
+    EXPECT_FALSE(cache.lookup(key(1), g, out));
+    cache.insert(key(1), plan);
+    bool hit = false;
+    std::thread other([&] { hit = cache.lookup(key(1), g, out); });
+    other.join();
+    EXPECT_TRUE(hit);
+    EXPECT_EQ(cache.stats().misses, 2u);
+    EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(PlanCache, ConcurrentMissesOfOneKeySearchItOnce)
+{
+    // Eight pool threads look up one cold key together: one claims it and
+    // searches, and the other seven wait and share its plan.
+    ThreadPool::setGlobalThreads(8);
+    const graph::Graph g = graph::buildHMult(graph::paramsArk(), 8);
+    const auto cfg = hw::configCrophe64();
+    const sched::Schedule cold = searched(g);
+
+    PlanCache cache;
+    sched::SchedOptions opt = cropheOptions();
+    opt.planCache = &cache;
+    constexpr u64 kThreads = 8;
+    std::vector<sched::Schedule> runs(kThreads);
+    parallelFor(0, kThreads,
+                [&](u64 i) { runs[i] = sched::scheduleGraph(g, cfg, opt); });
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().insertions, 1u);
+    EXPECT_EQ(cache.stats().hits, kThreads - 1);
+    for (u64 i = 0; i < kThreads; ++i) {
+        SCOPED_TRACE(i);
+        expectSamePlan(runs[i], cold);
+    }
+}
+
+TEST(PlanCache, RotationSearchCountersMatchAcrossThreadCounts)
+{
+    // With one cache the rotation search runs each distinct graph search
+    // once at any thread count, and one memo serves the whole call, so
+    // every counter is fixed, the analyzed/memo-hit split included.
+    const graph::FheParams p = graph::paramsArk();
+    const auto cfg = hw::withSramMB(hw::configCrophe64(), 64.0);
+    std::string ref;
+    for (u32 threads : {1u, 8u}) {
+        SCOPED_TRACE(threads);
+        ThreadPool::setGlobalThreads(threads);
+        PlanCache cache;
+        telemetry::SearchTelemetry search;
+        sched::SchedOptions opt = cropheOptions();
+        opt.planCache = &cache;
+        opt.search = &search;
+        sched::chooseRotationScheme("helr", p, cfg, opt, true);
+        EXPECT_EQ(cache.stats().misses, cache.stats().insertions);
+        EXPECT_GT(cache.stats().hits, 0u);
+
+        telemetry::StatsRegistry reg;
+        cache.registerStats(reg);
+        search.registerStats(reg);
+        std::ostringstream os;
+        reg.dumpText(os);
+        if (threads == 1)
+            ref = os.str();
+        else
+            EXPECT_EQ(os.str(), ref);
     }
 }
 

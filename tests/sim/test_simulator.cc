@@ -81,10 +81,10 @@ TEST(Simulator, MadSuffersMoreThanCropheUnderSimulationToo)
 
     auto mad_sim = baselines::runDesign(
         baselines::designByName("CROPHE-hw+MAD"), "bootstrap",
-        /*simulate=*/true);
+        {.simulate = true});
     auto crophe_sim = baselines::runDesign(
         baselines::designByName("CROPHE-64"), "bootstrap",
-        /*simulate=*/true);
+        {.simulate = true});
     EXPECT_LT(crophe_sim.stats.cycles, mad_sim.stats.cycles * 1.25);
 }
 

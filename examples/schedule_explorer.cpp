@@ -50,12 +50,19 @@ main()
         std::printf(" (r_hyb = %u)", choice.rHyb);
     std::printf("\n");
 
-    // Show the dataflow of one segment in detail.
+    // Show the dataflow of one segment of the winner in detail: its
+    // graph is one the search scheduled, so the cache hands back the
+    // search's own plan.
     graph::WorkloadOptions wopt;
     wopt.rotMode = choice.mode;
     wopt.rHyb = choice.rHyb;
+    wopt.ksDataflow = choice.ksDataflow;
     auto w = graph::buildWorkload("bootstrap", params, wopt);
+    const plan::PlanCacheStats searched = cache.stats();
     auto seg_sched = sched::scheduleGraph(w.segments[0].graph, cfg, opt);
+    CROPHE_ASSERT(cache.stats().hits == searched.hits + 1 &&
+                      cache.stats().misses == searched.misses,
+                  "the detailed segment is not a plan the search made");
     const auto groups = static_cast<u32>(seg_sched.groups->size());
     u32 ops = 0;
     for (const auto &g : *seg_sched.groups)

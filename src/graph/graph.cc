@@ -21,6 +21,7 @@ OpId
 Graph::add(Op op)
 {
     Body &b = ownBody();
+    b.hash.store(0, std::memory_order_relaxed);
     OpId id = static_cast<OpId>(b.ops.size());
     op.id = id;
     b.ops.push_back(std::move(op));
@@ -35,6 +36,7 @@ Graph::connect(OpId from, OpId to)
     CROPHE_ASSERT(from < size() && to < size(), "edge endpoint out of range");
     CROPHE_ASSERT(from != to, "self edge");
     Body &b = ownBody();
+    b.hash.store(0, std::memory_order_relaxed);
     b.succ[from].push_back(to);
     b.pred[to].push_back(from);
 }
@@ -149,7 +151,15 @@ hashOpShape(u64 &h, const Op &op)
 u64
 Graph::contentHash() const
 {
-    u64 h = kHashSeed;
+    // A shared body is immutable, so threads that race to fill in its
+    // hash store the same value. A sole owner's reset in add()/connect()
+    // follows every store by a thread that dropped its copy: that store
+    // happens before the copy's release decrement, which ownBody()'s
+    // acquire load pairs with.
+    u64 h = body_->hash.load(std::memory_order_relaxed);
+    if (h != 0)
+        return h;
+    h = kHashSeed;
     hashMix(h, size());
     for (OpId id = 0; id < size(); ++id) {
         const Op &o = op(id);
@@ -169,6 +179,7 @@ Graph::contentHash() const
                 hashMix(h, v);
         }
     }
+    body_->hash.store(h, std::memory_order_relaxed);
     return h;
 }
 

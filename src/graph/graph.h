@@ -140,6 +140,8 @@ class Graph
      * other Op field) with both adjacency lists in insertion order. Equal
      * hashes ⇒ (with overwhelming probability) the same ops under the same
      * ids; it keys the plan cache and the serving catalog's batching.
+     * Computed once per body and kept with it until the next edit, so
+     * copies that share a body hash it once.
      */
     u64 contentHash() const;
 
@@ -156,13 +158,18 @@ class Graph
     Graph inducedSubgraph(const std::vector<OpId> &nodes) const;
 
   private:
-    /** The storage copies share, with the count of graphs holding it. */
+    /**
+     * The storage copies share, with the count of graphs holding it and
+     * its content hash once computed (0 = not yet; add() and connect()
+     * reset it, and a clone starts at 0).
+     */
     struct Body
     {
         std::vector<Op> ops;
         std::vector<std::vector<OpId>> succ;
         std::vector<std::vector<OpId>> pred;
         std::atomic<u32> refs{1};
+        std::atomic<u64> hash{0};
 
         Body() = default;
         Body(const Body &other)

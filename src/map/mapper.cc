@@ -60,11 +60,10 @@ setRunCentroid(PePlacement &p, const hw::HwConfig &cfg)
 
 }  // namespace
 
-GroupMapping
+void
 mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
-         const hw::HwConfig &cfg)
+         const hw::HwConfig &cfg, GroupMapping &mapping)
 {
-    GroupMapping mapping;
     CROPHE_ASSERT(cfg.numPes > 0, "mapper needs at least one live PE");
 
     // A degraded array (DESIGN.md §9) can leave a group sized for more
@@ -93,7 +92,7 @@ mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
     u32 next_pe_forward = 0;                      // fills 0, 1, 2, ...
     u32 next_pe_backward = cfg.numPes - 1;        // fills N-1, N-2, ...
 
-    mapping.placements.reserve(group.allocs.size());
+    mapping.placements.clear();
     for (const auto &alloc : group.allocs) {
         PePlacement p;
         p.op = alloc.op;
@@ -123,17 +122,21 @@ mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
     }
 
     // Hop distance per internal edge (XY routing => Manhattan distance).
-    graph::PositionIndex position(
-        static_cast<u32>(group.allocs.size()),
-        [&](u32 i) { return group.allocs[i].op; });
-    mapping.edges.reserve(group.internalEdges.size());
+    // Groups are a few ops long, so a backward scan finds an endpoint's
+    // position (the last, should an op repeat) faster than an index.
+    const u32 n = static_cast<u32>(group.allocs.size());
+    auto position = [&](graph::OpId id) {
+        u32 i = n;
+        while (i > 0 && group.allocs[i - 1].op != id)
+            --i;
+        CROPHE_ASSERT(i > 0, "edge endpoints missing from the group");
+        return i - 1;
+    };
+    mapping.edges.clear();
     for (const auto &e : group.internalEdges) {
         PlacedEdge pe;
-        pe.producer = position.find(e.from);
-        pe.consumer = position.find(e.to);
-        CROPHE_ASSERT(pe.producer != graph::PositionIndex::kNotFound &&
-                          pe.consumer != graph::PositionIndex::kNotFound,
-                      "edge endpoints missing from the group");
+        pe.producer = position(e.from);
+        pe.consumer = position(e.to);
         const auto &pf = mapping.placements[pe.producer];
         const auto &pt = mapping.placements[pe.consumer];
         u32 hops = static_cast<u32>(std::lround(
@@ -142,7 +145,6 @@ mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
         pe.hops = std::max<u32>(1, hops);
         mapping.edges.push_back(pe);
     }
-    return mapping;
 }
 
 }  // namespace crophe::map

@@ -53,9 +53,14 @@ struct GroupMapping
     std::vector<PlacedEdge> edges;
 };
 
-/** Place one analyzed spatial group on the array of @p cfg. */
-GroupMapping mapGroup(const sched::SpatialGroup &group,
-                      const graph::Graph &g, const hw::HwConfig &cfg);
+/**
+ * Place one analyzed spatial group on the array of @p cfg into
+ * @p mapping. Every field of @p mapping is overwritten; its storage is
+ * reused, so a caller mapping group after group allocates only to grow
+ * it.
+ */
+void mapGroup(const sched::SpatialGroup &group, const graph::Graph &g,
+              const hw::HwConfig &cfg, GroupMapping &mapping);
 
 }  // namespace crophe::map
 

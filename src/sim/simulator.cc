@@ -37,13 +37,28 @@ struct Chip
 };
 
 /**
+ * One simulateSchedule call's per-group working set, reused from group
+ * to group so that a group allocates only to grow it.
+ */
+struct GroupScratch
+{
+    map::GroupMapping mapping;
+    map::GroupTrace trace;
+    /** finish[first[i] + c]: completion time of chunk c of op i. */
+    std::vector<u64> first;
+    std::vector<SimTime> finish;
+    /** Trace track of PE group slot i, with a recorder attached. */
+    std::vector<u32> peTracks;
+};
+
+/**
  * Op @p i's share of sim.events: 1 for its issue, plus the chunk count
  * of each distinct producer (DESIGN.md §4).
  */
 u64
 opEvents(const map::GroupTrace &trace, u32 i)
 {
-    const auto &deps = trace.ops[i].deps;
+    const auto deps = trace.depsOf(i);
     u64 events = 1;
     for (auto d = deps.begin(); d != deps.end(); ++d)
         if (std::none_of(deps.begin(), d, [&](const map::TraceDep &e) {
@@ -54,35 +69,40 @@ opEvents(const map::GroupTrace &trace, u32 i)
 }
 
 /**
- * Simulate one spatial group starting at @p group_start; returns the
- * group's completion time. Trace spans and fault draws are compiled into
- * the issue loop only with @p hooks, which a recorder or an injector
- * needs.
+ * Simulate one spatial group starting at @p group_start, on the call's
+ * @p scratch; returns the group's completion time. Trace spans and fault
+ * draws are compiled into the issue loop only with @p hooks, which a
+ * recorder or an injector needs.
  */
 SimTime
 simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
               const hw::HwConfig &cfg, Chip &chip, SimTime group_start,
-              SimStats &stats, telemetry::TraceRecorder *rec, bool hooks)
+              SimStats &stats, telemetry::TraceRecorder *rec, bool hooks,
+              GroupScratch &scratch)
 {
-    map::GroupMapping mapping = map::mapGroup(group, g, cfg);
-    map::GroupTrace trace = map::buildTrace(group, mapping, g, cfg);
+    map::mapGroup(group, g, cfg, scratch.mapping);
+    map::buildTrace(group, scratch.mapping, g, cfg, scratch.trace);
+    const map::GroupTrace &trace = scratch.trace;
 
     const u32 num_ops = static_cast<u32>(trace.ops.size());
 
-    // One trace track per PE group; ids are memoized by name, so group
-    // slot i maps to the same track across all spatial groups.
-    std::vector<u32> pe_tracks;
+    // One trace track per PE group slot; slot i maps to the same track
+    // across all spatial groups, so a slot's track is made the first
+    // time a group reaches it.
+    std::vector<u32> &pe_tracks = scratch.peTracks;
     if (rec != nullptr) {
-        pe_tracks.resize(num_ops);
-        for (u32 i = 0; i < num_ops; ++i)
-            pe_tracks[i] = rec->track("PE group " + std::to_string(i));
+        for (u32 i = static_cast<u32>(pe_tracks.size()); i < num_ops; ++i)
+            pe_tracks.push_back(rec->track("PE group " + std::to_string(i)));
     }
 
-    // finish[first[i] + c]: completion time of chunk c of op i.
-    std::vector<u64> first(num_ops + 1, 0);
+    // Every finish time is written by its chunk's issue before a consumer
+    // reads it, so the reused array needs no clearing.
+    std::vector<u64> &first = scratch.first;
+    first.resize(num_ops + 1);
     for (u32 i = 0; i < num_ops; ++i)
         first[i + 1] = first[i] + trace.ops[i].chunks;
-    std::vector<SimTime> finish(first[num_ops]);
+    scratch.finish.resize(first[num_ops]);
+    SimTime *finish = scratch.finish.data();
 
     SimTime group_end = group_start;
 
@@ -91,7 +111,7 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
     auto ready_at = [&](u32 i, u64 c) {
         SimTime ready = group_start;
         const u64 chunks = trace.ops[i].chunks;
-        for (const auto &dep : trace.ops[i].deps) {
+        for (const auto &dep : trace.depsOf(i)) {
             const auto &p = trace.ops[dep.producerIndex];
             u64 needed;
             if (dep.pipelined) {
@@ -124,7 +144,7 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
         const auto &op = g.op(top.op);
         // NoC distance of the op's forwarded inputs (at least one hop).
         u32 hops = 1;
-        for (const auto &dep : top.deps) {
+        for (const auto &dep : trace.depsOf(i)) {
             CROPHE_ASSERT(dep.producerIndex < i, "op ", op.label,
                           " is listed before its producer ",
                           g.op(trace.ops[dep.producerIndex].op).label);
@@ -135,7 +155,7 @@ simulateGroup(const sched::SpatialGroup &group, const graph::Graph &g,
         // PE datapath.
         const bool transposes = op.kind == graph::OpKind::Transpose;
         const u64 transpose_words = op.inputWords / top.chunks;
-        SimTime *done_at = finish.data() + first[i];
+        SimTime *done_at = finish + first[i];
 
         DramModel::Run dram(chip.dram, top.dramWordsPerChunk, i);
         FifoRun sram = chip.sram.run(top.sramWordsPerChunk);
@@ -224,13 +244,14 @@ simulateSchedule(const sched::Schedule &sched, const hw::HwConfig &cfg,
     constexpr double kGroupSwitchCycles = 64.0;
 
     const bool hooks = rec != nullptr || stats.faultsEnabled;
+    GroupScratch scratch;
     SimTime now = 0.0;
     for (const auto &group : *sched.groups) {
         // Synchronous group switching: the next group starts after the
         // previous completes on all PEs (Section IV-A).
         SimTime group_start = now;
         now = simulateGroup(group, sched.graph, cfg, chip, now, stats, rec,
-                            hooks);
+                            hooks, scratch);
         if (rec != nullptr) {
             rec->instant("group switch", now);
             rec->counter("dram.words", now,

@@ -125,12 +125,6 @@ SearchTelemetry::registerStats(StatsRegistry &reg,
         prefix + ".enum.memoHits",
         "group analyses served from the structural-hash memo");
     hits.set(memoHits());
-    reg.counter(prefix + ".plan.hits",
-                "schedule searches served from the plan cache")
-        .set(planHits());
-    reg.counter(prefix + ".plan.misses",
-                "plan-cache lookups that fell back to a full search")
-        .set(planMisses());
     // Only registered once a deadline actually truncated a search, so
     // deadline-free runs keep their pre-anytime stats dumps byte-identical.
     if (deadlineHits() > 0)

@@ -57,7 +57,12 @@ class SearchTelemetry
     /** Fold in one GroupEnumerator's counters after a search. */
     void addEnumeration(u64 analyzed, u64 memo_hits);
 
-    /** Record one plan-cache lookup at scheduleGraph level. */
+    /**
+     * Record one plan-cache lookup at scheduleGraph level. The counts are
+     * not registered: the cache's own plan.cache.* stats count the same
+     * lookups. They let a caller count one search's share of a cache
+     * that other searches also read.
+     */
     void addPlanLookup(bool hit);
 
     /** Record one graph search truncated by its anytime deadline. */

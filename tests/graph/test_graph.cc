@@ -144,23 +144,72 @@ TEST(Graph, EditingTheSourceLeavesItsCopiesAlone)
     EXPECT_EQ(g.producers(4), (std::vector<OpId>{2}));
 }
 
+/** diamond() plus the edge 1 -> 2 and an unconnected fifth op when
+ *  asked, built from scratch rather than edited. */
+Graph
+rebuiltDiamond(bool extra_edge, bool extra_op)
+{
+    const Graph g = diamond();
+    Graph fresh;
+    for (OpId id = 0; id < g.size(); ++id)
+        fresh.add(g.op(id));
+    if (extra_op)
+        fresh.add(makeOutput(1 << 10, 4));
+    fresh.connect(0, 1);
+    fresh.connect(0, 2);
+    fresh.connect(1, 3);
+    fresh.connect(2, 3);
+    if (extra_edge)
+        fresh.connect(1, 2);
+    return fresh;
+}
+
+TEST(Graph, InPlaceEditsResetTheStoredHash)
+{
+    // The hash is stored with the body once computed. An edit to a graph
+    // that holds its body alone writes in place, so connect() and add()
+    // must each drop the stored value.
+    Graph g = diamond();
+    const std::vector<Op> *storage = &g.ops();
+    const u64 before = g.contentHash();
+    EXPECT_EQ(before, diamond().contentHash());
+
+    g.connect(1, 2);
+    EXPECT_EQ(&g.ops(), storage);  // the same body, not a clone
+    const u64 connected = g.contentHash();
+    EXPECT_NE(connected, before);
+    EXPECT_EQ(connected, rebuiltDiamond(true, false).contentHash());
+
+    g.add(makeOutput(1 << 10, 4));
+    EXPECT_EQ(&g.ops(), storage);
+    EXPECT_NE(g.contentHash(), connected);
+    EXPECT_EQ(g.contentHash(), rebuiltDiamond(true, true).contentHash());
+}
+
 TEST(Graph, CopiesDroppedOnOtherThreadsDoNotRaceLaterEdits)
 {
-    // Each reader copies its copy again, reads both and drops them, and
-    // only then raises a relaxed flag, which orders nothing. An edit that
-    // finds every copy gone writes in place, so the reference count alone
-    // must order the readers' reads before that write (ThreadSanitizer
-    // checks it); an edit that finds a copy still held clones instead.
+    // Each reader copies its copy again, reads both, hashes them (a
+    // reader that finds no hash stored stores one in the shared body)
+    // and drops them, and only then raises a relaxed flag, which orders
+    // nothing. An edit that finds every copy gone writes in place, so
+    // the reference count alone must order the readers' reads and hash
+    // stores before that write and its reset of the hash
+    // (ThreadSanitizer checks it); an edit that finds a copy still held
+    // clones instead.
     const u64 flops = diamond().totalFlops();
+    const u64 hash = diamond().contentHash();
+    const u64 edited = rebuiltDiamond(true, true).contentHash();
     for (int round = 0; round < 20; ++round) {
         Graph g = diamond();
         std::atomic<int> done{0};
         std::vector<std::thread> readers;
         for (int t = 0; t < 4; ++t) {
-            readers.emplace_back([copy = g, flops, &done]() mutable {
+            readers.emplace_back([copy = g, flops, hash, &done]() mutable {
                 Graph again = copy;
                 EXPECT_EQ(again.totalFlops() + copy.totalFlops(), 2 * flops);
                 EXPECT_EQ(again.consumers(0), (std::vector<OpId>{1, 2}));
+                EXPECT_EQ(again.contentHash(), hash);
+                EXPECT_EQ(copy.contentHash(), hash);
                 again = Graph();
                 copy = Graph();
                 done.fetch_add(1, std::memory_order_relaxed);
@@ -175,6 +224,7 @@ TEST(Graph, CopiesDroppedOnOtherThreadsDoNotRaceLaterEdits)
             t.join();
         EXPECT_EQ(g.producers(2), (std::vector<OpId>{0, 1}));
         EXPECT_EQ(g.size(), 5u);
+        EXPECT_EQ(g.contentHash(), edited);
     }
 }
 

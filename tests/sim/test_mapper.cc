@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <random>
+#include <tuple>
 
 #include "graph/keyswitch_builder.h"
+#include "graph/workloads.h"
 #include "map/mapper.h"
 #include "map/trace.h"
 #include "sched/ntt_decomp.h"
+#include "sched/scheduler.h"
 
 namespace crophe::map {
 namespace {
@@ -36,7 +39,8 @@ TEST(Mapper, PlacementsStayOnTheArray)
     g.connect(a, b);
     auto cfg = hw::configCrophe64();
     auto group = analyzedChain(g, cfg);
-    GroupMapping m = mapGroup(group, g, cfg);
+    GroupMapping m;
+    mapGroup(group, g, cfg, m);
 
     ASSERT_EQ(m.placements.size(), group.allocs.size());
     for (const auto &p : m.placements) {
@@ -65,7 +69,8 @@ TEST(Mapper, TransposeFlipsPlacementDirection)
 
     auto cfg = hw::configCrophe64();
     auto group = analyzedChain(g, cfg);
-    GroupMapping m = mapGroup(group, g, cfg);
+    GroupMapping m;
+    mapGroup(group, g, cfg, m);
 
     double col_x = -1, row_x = -1;
     for (const auto &p : m.placements) {
@@ -206,6 +211,8 @@ TEST(Mapper, ClosedFormRunsMatchThePerPeWalkExactly)
 {
     std::mt19937 rng(20260);
     u32 clamped_forward = 0, clamped_backward = 0, degraded = 0;
+    // One mapping for every trial, reused as the simulator reuses it.
+    GroupMapping m;
     for (u32 trial = 0; trial < 3000; ++trial) {
         hw::HwConfig cfg = hw::configCrophe64();
         cfg.meshY = 1 + rng() % 16;
@@ -216,7 +223,7 @@ TEST(Mapper, ClosedFormRunsMatchThePerPeWalkExactly)
         SCOPED_TRACE("trial " + std::to_string(trial));
 
         const WalkedGroup ref = walkPlacement(group, g, cfg);
-        const GroupMapping m = mapGroup(group, g, cfg);
+        mapGroup(group, g, cfg, m);
         ASSERT_EQ(m.placements.size(), group.allocs.size());
         u64 requested = 0;
         for (u32 i = 0; i < group.allocs.size(); ++i) {
@@ -267,7 +274,8 @@ TEST(Mapper, CentroidsOfRealGroupsMatchThePerPeWalk)
             if (pes != 0)
                 run.numPes = pes;  // fewer live PEs than analyzed for
             const WalkedGroup ref = walkPlacement(group, g, run);
-            const GroupMapping m = mapGroup(group, g, run);
+            GroupMapping m;
+            mapGroup(group, g, run, m);
             for (u32 i = 0; i < group.allocs.size(); ++i) {
                 EXPECT_TRUE(m.placements[i].centroidX == ref.centroidX[i]);
                 EXPECT_TRUE(m.placements[i].centroidY == ref.centroidY[i]);
@@ -294,8 +302,10 @@ TEST(Trace, ChunkTotalsMatchGroupAnalysis)
                                                 6, topo.size()));
     sched::SpatialGroup group;
     ASSERT_TRUE(sched::analyzeSpatialGroup(g, window, cfg, false, group));
-    GroupMapping m = mapGroup(group, g, cfg);
-    GroupTrace t = buildTrace(group, m, g, cfg);
+    GroupMapping m;
+    mapGroup(group, g, cfg, m);
+    GroupTrace t;
+    buildTrace(group, m, g, cfg, t);
 
     ASSERT_EQ(t.ops.size(), group.allocs.size());
     u64 sram = 0, dram = 0;
@@ -327,22 +337,119 @@ TEST(Trace, PipelinedDepsAreMarked)
     sched::SpatialGroup group;
     ASSERT_TRUE(sched::analyzeSpatialGroup(g, g.topoOrder(), cfg, false,
                                            group));
-    GroupMapping m = mapGroup(group, g, cfg);
-    GroupTrace t = buildTrace(group, m, g, cfg);
+    GroupMapping m;
+    mapGroup(group, g, cfg, m);
+    GroupTrace t;
+    buildTrace(group, m, g, cfg, t);
 
     // bconv depends on ntt via a barrier (orientation switch); a on in is
-    // pipelined.
+    // pipelined. Every edge is one dep, in its consumer's range.
+    ASSERT_EQ(t.deps.size(), group.internalEdges.size());
     bool saw_pipelined = false, saw_barrier = false;
-    for (const auto &top : t.ops) {
-        for (const auto &dep : top.deps) {
-            if (dep.pipelined)
-                saw_pipelined = true;
-            else
-                saw_barrier = true;
+    for (u32 i = 0; i < t.ops.size(); ++i) {
+        for (const auto &dep : t.depsOf(i)) {
+            const OpId producer = t.ops[dep.producerIndex].op;
+            const OpId consumer = t.ops[i].op;
+            saw_pipelined |= dep.pipelined && producer == in && consumer == a;
+            saw_barrier |= !dep.pipelined && producer == ntt &&
+                           consumer == bconv;
         }
     }
     EXPECT_TRUE(saw_pipelined);
     EXPECT_TRUE(saw_barrier);
+}
+
+/** Each consumer's deps, sorted: the order within a range is not part
+ *  of the contract. */
+std::vector<std::vector<std::tuple<u32, bool, u32>>>
+depMultisets(const GroupTrace &t)
+{
+    std::vector<std::vector<std::tuple<u32, bool, u32>>> out(t.ops.size());
+    for (u32 i = 0; i < t.ops.size(); ++i) {
+        for (const auto &dep : t.depsOf(i))
+            out[i].emplace_back(dep.producerIndex, dep.pipelined, dep.hops);
+        std::sort(out[i].begin(), out[i].end());
+    }
+    return out;
+}
+
+TEST(Trace, ReusedOutputsMatchFreshOnesOnEveryGroup)
+{
+    // The simulator maps and traces group after group into one
+    // GroupMapping and one GroupTrace. Across every group of a bootstrap
+    // schedule, taken largest first (the storage shrinks) and smallest
+    // first (it grows), the reused outputs must equal fresh ones.
+    auto cfg = hw::configCrophe64();
+    graph::Workload w = graph::buildWorkload("bootstrap", graph::paramsArk(),
+                                             graph::WorkloadOptions{});
+    std::vector<sched::Schedule> schedules;
+    for (const auto &seg : w.segments)
+        schedules.push_back(sched::scheduleGraph(seg.graph, cfg, {}));
+    std::vector<std::pair<const sched::SpatialGroup *, const Graph *>> groups;
+    for (const auto &s : schedules)
+        for (const auto &group : *s.groups)
+            groups.emplace_back(&group, &s.graph);
+    ASSERT_GT(groups.size(), 50u);
+
+    for (bool largest_first : {true, false}) {
+        std::stable_sort(groups.begin(), groups.end(),
+                         [&](const auto &a, const auto &b) {
+                             const auto na = a.first->allocs.size();
+                             const auto nb = b.first->allocs.size();
+                             return largest_first ? na > nb : na < nb;
+                         });
+        ASSERT_NE(groups.front().first->allocs.size(),
+                  groups.back().first->allocs.size());
+        GroupMapping m;
+        GroupTrace t;
+        u64 noc_words = 0;
+        for (u32 k = 0; k < groups.size(); ++k) {
+            const auto &[group, g] = groups[k];
+            SCOPED_TRACE("group " + std::to_string(k));
+            mapGroup(*group, *g, cfg, m);
+            buildTrace(*group, m, *g, cfg, t);
+            GroupMapping fresh_m;
+            mapGroup(*group, *g, cfg, fresh_m);
+            GroupTrace fresh_t;
+            buildTrace(*group, fresh_m, *g, cfg, fresh_t);
+
+            ASSERT_EQ(m.placements.size(), fresh_m.placements.size());
+            for (u32 i = 0; i < m.placements.size(); ++i) {
+                const PePlacement &a = m.placements[i];
+                const PePlacement &b = fresh_m.placements[i];
+                EXPECT_EQ(a.op, b.op);
+                EXPECT_EQ(a.firstPe, b.firstPe);
+                EXPECT_EQ(a.pes, b.pes);
+                EXPECT_EQ(a.reversed, b.reversed);
+                EXPECT_TRUE(a.centroidX == b.centroidX);
+                EXPECT_TRUE(a.centroidY == b.centroidY);
+            }
+            ASSERT_EQ(m.edges.size(), fresh_m.edges.size());
+            for (u32 e = 0; e < m.edges.size(); ++e) {
+                EXPECT_EQ(m.edges[e].producer, fresh_m.edges[e].producer);
+                EXPECT_EQ(m.edges[e].consumer, fresh_m.edges[e].consumer);
+                EXPECT_EQ(m.edges[e].hops, fresh_m.edges[e].hops);
+            }
+
+            ASSERT_EQ(t.ops.size(), fresh_t.ops.size());
+            EXPECT_EQ(t.deps.size(), fresh_t.deps.size());
+            for (u32 i = 0; i < t.ops.size(); ++i) {
+                const TraceOp &a = t.ops[i];
+                const TraceOp &b = fresh_t.ops[i];
+                EXPECT_EQ(a.op, b.op);
+                EXPECT_EQ(a.chunks, b.chunks);
+                EXPECT_TRUE(a.computePerChunk == b.computePerChunk);
+                EXPECT_EQ(a.dramWordsPerChunk, b.dramWordsPerChunk);
+                EXPECT_EQ(a.sramWordsPerChunk, b.sramWordsPerChunk);
+                EXPECT_EQ(a.nocWordsPerChunk, b.nocWordsPerChunk);
+                noc_words += a.nocWordsPerChunk;
+            }
+            EXPECT_EQ(depMultisets(t), depMultisets(fresh_t));
+        }
+        // The schedule forwards data between its ops, so the NoC words
+        // above were compared on real traffic.
+        EXPECT_GT(noc_words, 0u);
+    }
 }
 
 }  // namespace
